@@ -4,24 +4,24 @@
 //! show the in-network fix to Figure 1's bufferbloat: the same TCP Reno
 //! download over the same deep buffer, with the queue discipline swapped.
 //!
-//! The experiment is the `presets::ext_aqm` scenario grid — the FIG1
-//! cellular download with a queue-discipline sweep axis (also shipped as
-//! `experiments/specs/ext-aqm.toml`); this binary adds the RTT series
+//! The experiment is the shipped `experiments/specs/ext-aqm.toml` grid
+//! — the FIG1 cellular download with a queue-discipline sweep axis; this
+//! binary adds the RTT series
 //! export and the shape checks.
 //!
 //! Expected shape: drop-tail shows multi-second RTTs; CoDel holds the
 //! p95 RTT near its 100 ms interval; RED sits in between; goodput stays
 //! comparable (within ~2× of drop-tail).
 
-use augur_bench::{check, save_csv};
-use augur_scenario::{presets, SweepRunner};
-use augur_sim::{Dur, Time};
+use augur_bench::{check, exit_on_failed_checks, save_csv, shipped};
+use augur_scenario::SweepRunner;
+use augur_sim::Time;
 use augur_tcp::TcpTrace;
 use augur_trace::{summarize, Series, Summary};
 
 fn main() {
     println!("EXT-D: TCP Reno over the LTE-like path, queue discipline swapped, 120 s\n");
-    let runs = presets::ext_aqm(Dur::from_secs(120)).expand();
+    let runs = shipped("ext-aqm").expand();
     // Goodput windows derive from the spec, not a second literal.
     let t_end = Time::ZERO + runs[0].spec.duration;
     let (_, artifacts) = SweepRunner::parallel().run_traced(&runs);
@@ -92,4 +92,5 @@ fn main() {
         gp(codel_trace) >= gp(droptail_trace) / 2.0,
         format!("{:.0} vs {:.0} bps", gp(codel_trace), gp(droptail_trace)),
     );
+    exit_on_failed_checks();
 }

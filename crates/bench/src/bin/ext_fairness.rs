@@ -3,7 +3,8 @@
 //! any networks that contain more than one ISENDER … whether starting
 //! with the same or different assumptions … will be of great importance."
 //!
-//! A thin wrapper over the `coexist-fairness` scenario preset: two
+//! A thin wrapper over the shipped `coexist-fairness` spec, run once
+//! for 200 s: two
 //! ISenders (same coexistence prior, same α = 1 utility) share one
 //! 24 kbit/s bottleneck through the multi-agent loop
 //! (`augur_core::run_multi_agent`). Each models the other as an
@@ -12,15 +13,17 @@
 //! fairness index, and the restart counts (a direct measurement of how
 //! badly the pinger model fits an adaptive peer).
 
-use augur_bench::{check, out_dir};
-use augur_scenario::{presets, SweepRunner};
+use augur_bench::{check, exit_on_failed_checks, out_dir, shipped};
+use augur_scenario::SweepRunner;
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
 
 fn main() {
     println!("EXT-A: two ISenders sharing a 24 kbit/s bottleneck, 200 s\n");
-    let grid = presets::coexist_fairness(Dur::from_secs(200), 1, 50_000);
+    let mut grid = shipped("coexist-fairness");
+    grid.set_duration(Dur::from_secs(200));
+    assert!(grid.set_replicates(1), "coexist-fairness has a seeds axis");
     let runs = grid.expand();
     let link_bps = runs[0]
         .spec
@@ -71,4 +74,5 @@ fn main() {
         restarts_a + restarts_b > 0,
         format!("{} total restarts", restarts_a + restarts_b),
     );
+    exit_on_failed_checks();
 }

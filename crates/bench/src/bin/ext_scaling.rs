@@ -8,14 +8,15 @@
 //! We sweep the hypothesis count of the exact engine across four decades
 //! and compare against the particle filter at a fixed 1,000-particle
 //! budget, measuring wall time per simulated second and the
-//! posterior-mean error on the link rate. The sweep is the
-//! `presets::ext_scaling` grid — engine × prior size under the scripted
-//! 2 s ping workload — executed *serially* so the wall-clock comparison
+//! posterior-mean error on the link rate. The sweep is the shipped
+//! `experiments/specs/scaling.toml` grid — engine × prior size under the
+//! scripted 2 s ping workload — with a fourth prior size and seed
+//! replicates added, executed *serially* so the wall-clock comparison
 //! is not distorted by core contention; this binary adds the scaling
 //! shape checks.
 
-use augur_bench::{check, out_dir};
-use augur_scenario::{presets, Axis, RunStatus, RunSummary, SweepRunner};
+use augur_bench::{check, exit_on_failed_checks, out_dir, shipped};
+use augur_scenario::{Axis, RunStatus, RunSummary, SweepRunner};
 use std::fs;
 use std::io::BufWriter;
 
@@ -40,7 +41,13 @@ fn survivors(cell: &[RunSummary]) -> Option<(f64, f64)> {
 fn main() {
     println!("EXT-C: exact enumeration vs particle filter, 30 s of inference\n");
     let sizes = vec![101usize, 1_001, 10_001, 100_001];
-    let grid = presets::ext_scaling(sizes.clone(), 1_000).axis(Axis::Seeds(REPLICATES));
+    let mut grid = shipped("scaling");
+    for axis in &mut grid.axes {
+        if let Axis::PriorSize(v) = axis {
+            v.clone_from(&sizes);
+        }
+    }
+    let grid = grid.axis(Axis::Seeds(REPLICATES));
     let runs = grid.expand();
     let report = SweepRunner::serial().run(&runs);
     // Group replicates by what each run actually was — the spec carries
@@ -165,4 +172,5 @@ fn main() {
             .any(|cell| cell.iter().all(|r| r.status == RunStatus::BeliefDied)),
         "exact-match likelihood needs coverage (motivates belief compression)",
     );
+    exit_on_failed_checks();
 }

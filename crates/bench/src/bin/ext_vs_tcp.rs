@@ -1,24 +1,26 @@
 #![forbid(unsafe_code)]
 //! EXT-B — §3.5's second open question: an ISender sharing a bottleneck
-//! with loss-based senders. A thin wrapper over the `coexist-vs-tcp`
-//! scenario preset, whose peer axis runs the compact AIMD core (the
-//! congestion-control structure all of §2's TCP variants share) plus
-//! full TCP Reno and CUBIC endpoints.
+//! with loss-based senders. A thin wrapper over the shipped
+//! `coexist-vs-tcp` spec, run once per peer for 200 s, whose peer axis
+//! runs the compact AIMD core (the congestion-control structure all of
+//! §2's TCP variants share) plus full TCP Reno and CUBIC endpoints.
 //!
 //! Expected shape: loss-based senders fill queues by design, the
 //! deferential ISender (α = 1) backs off, so the split is unequal but
 //! both make progress — quantifying the paper's worry that a
 //! deferential sender may be out-competed by a loss-based one.
 
-use augur_bench::{check, out_dir};
-use augur_scenario::{presets, SweepRunner};
+use augur_bench::{check, exit_on_failed_checks, out_dir, shipped};
+use augur_scenario::SweepRunner;
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
 
 fn main() {
     println!("EXT-B: ISender (alpha=1) vs loss-based senders on a 24 kbit/s bottleneck, 200 s\n");
-    let grid = presets::coexist_vs_tcp(Dur::from_secs(200), 1, 50_000);
+    let mut grid = shipped("coexist-vs-tcp");
+    grid.set_duration(Dur::from_secs(200));
+    assert!(grid.set_replicates(1), "coexist-vs-tcp has a seeds axis");
     let runs = grid.expand();
     let link_bps = runs[0].spec.topology.model("ext_vs_tcp").link_rate.as_bps();
     let report = SweepRunner::serial().run(&runs);
@@ -71,4 +73,5 @@ fn main() {
         max_combined <= link_bps as f64 * 1.05,
         format!("max combined {max_combined:.0} bit/s of {link_bps}"),
     );
+    exit_on_failed_checks();
 }

@@ -3,24 +3,24 @@
 //! the Verizon LTE network" (bufferbloat).
 //!
 //! The paper measured a real LTE modem; we substitute the synthetic
-//! cellular path of `augur_elements::cellular` (DESIGN.md §5): a deep
-//! drop-tail buffer feeding a fading radio link whose stochastic losses
-//! are hidden by link-layer ARQ. The experiment is the `presets::fig1`
-//! scenario (a `TopologySpec::Cellular` TCP Reno run, also shipped as
-//! `experiments/specs/fig1.toml`); this binary adds the log-axis RTT
-//! plot and the shape checks EXPERIMENTS.md records.
+//! cellular path of `augur_elements::cellular` (its module doc gives
+//! the model): a deep drop-tail buffer feeding a fading radio link
+//! whose stochastic losses are hidden by link-layer ARQ. The experiment
+//! is the shipped `experiments/specs/fig1.toml` (a
+//! `TopologySpec::Cellular` TCP Reno run); this binary adds the log-axis
+//! RTT plot and the shape checks below.
 //!
 //! Shape targets: RTT starts near the propagation floor (~0.1 s) and
 //! climbs beyond several seconds; max/min ratio ≥ 30×.
 
-use augur_bench::{check, save_csv};
-use augur_scenario::{presets, SweepRunner};
-use augur_sim::{Dur, Time};
+use augur_bench::{check, exit_on_failed_checks, save_csv, shipped};
+use augur_scenario::SweepRunner;
+use augur_sim::Time;
 use augur_trace::{render, PlotConfig, Series};
 
 fn main() {
     println!("FIG1: TCP Reno download over a synthetic LTE-like path, 250 s");
-    let runs = presets::fig1(Dur::from_secs(250)).expand();
+    let runs = shipped("fig1").expand();
     // Goodput windows derive from the spec, not a second literal.
     let t_end = Time::ZERO + runs[0].spec.duration;
     let (report, artifacts) = SweepRunner::serial().run_traced(&runs);
@@ -90,4 +90,5 @@ fn main() {
             .all(|d| d.reason == augur_elements::DropReason::BufferFull),
         format!("{} drops, all buffer overflows", trace.drops.len()),
     );
+    exit_on_failed_checks();
 }

@@ -8,9 +8,9 @@
 //! deterministic square wave, while the sender *believes* the gate is
 //! memoryless with a 100 s mean. One run per α ∈ {0.9, 1.0, 2.5, 5}.
 //!
-//! The sweep itself is the `presets::fig3` scenario grid executed by the
-//! parallel `SweepRunner`; this binary only adds the Figure-3 plot and
-//! the shape checks EXPERIMENTS.md records:
+//! The sweep itself is the shipped `experiments/specs/fig3.toml` grid
+//! executed by the parallel `SweepRunner`; this binary only adds the
+//! Figure-3 plot and the paper's shape checks:
 //! * α < 1 sends at the (discovered) link speed regardless of cross
 //!   traffic and floods the shared buffer;
 //! * α = 1 fills the residual ~30 % while cross traffic is on, 100 % when
@@ -20,10 +20,10 @@
 //! * no buffer overflows for α ≥ 1;
 //! * every sender starts tentatively while the prior is wide.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, exit_on_failed_checks, save_csv, shipped};
 use augur_core::RunTrace;
-use augur_scenario::{presets, SweepRunner};
-use augur_sim::{Dur, Time};
+use augur_scenario::SweepRunner;
+use augur_sim::Time;
 use augur_trace::{render, PlotConfig, Series};
 
 fn main() {
@@ -31,7 +31,11 @@ fn main() {
     let max_branches = branch_budget();
     println!("FIG3: α sweep over [0.9, 1.0, 2.5, 5.0], 300 s, branch cap {max_branches}");
 
-    let grid = presets::fig3(Dur::from_secs(300), max_branches);
+    let mut grid = shipped("fig3");
+    assert!(
+        grid.set_max_branches(max_branches),
+        "fig3 is an exact-belief sweep"
+    );
     let runs = grid.expand();
     let (report, traces) = SweepRunner::parallel().verbose().run_traced(&runs);
     let results: Vec<(f64, RunTrace)> = runs
@@ -138,10 +142,11 @@ fn main() {
     // weakly free under the paper's Θ = 10⁶ ms discount, fills the buffer
     // during the quiet phase, and the full queue then hides the returning
     // cross traffic from the ACK timings (an observability blackout).
-    // See EXPERIMENTS.md FIG3 "Deviations". We check the ordering instead.
+    // This is a known deviation from the paper; we check the ordering
+    // instead.
     let (_, _, _, _, ov_one) = *get(1.0);
     check(
-        "alpha=1 overflows less than alpha<1 (paper: zero; see EXPERIMENTS.md)",
+        "alpha=1 overflows less than alpha<1 (paper: zero; known deviation)",
         ov_one < ov_low,
         format!("alpha=1: {ov_one} vs alpha=0.9: {ov_low}"),
     );
@@ -158,6 +163,7 @@ fn main() {
         ramp5 <= ramp1 + 0.05,
         format!("100-130s rate: alpha=5 {ramp5:.2} vs alpha=1 {ramp1:.2}"),
     );
+    exit_on_failed_checks();
 }
 
 /// Branch cap, overridable for quick runs: `AUGUR_BRANCHES=2000`.

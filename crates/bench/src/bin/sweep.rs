@@ -1,54 +1,46 @@
 #![forbid(unsafe_code)]
-//! `sweep` — run any preset or spec-file parameter sweep from the
-//! command line.
+//! `sweep` — run a shipped or hand-written spec-file parameter sweep
+//! from the command line.
 //!
 //! ```sh
 //! cargo run --release --bin sweep -- fig3
 //! cargo run --release --bin sweep -- fig3 --duration 60 --branches 2000 --workers 1
-//! cargo run --release --bin sweep -- --spec experiments/specs/fig3.toml
 //! cargo run --release --bin sweep -- --spec my_experiment.toml --check
-//! cargo run --release --bin sweep -- --export-specs experiments/specs
 //! cargo run --release --bin sweep -- scaling --jsonl
 //! ```
 //!
-//! Presets (see `augur_scenario::presets::NAMES`): `fig1`, `fig3`,
-//! `tab1`, `txt1`, `txt2`, `scaling`, `smoke`, `coexist-fairness`,
-//! `coexist-vs-tcp`, `ext-aqm`, and `replay-cellular`. The preset may be
-//! given positionally or via `--preset`; `--spec <file.toml>` loads the
-//! same grid shape from a spec file instead (`--export-specs <dir>`
-//! writes the canonical file for every preset, `--export-traces <dir>`
-//! the canonical CSV for every shipped synthetic rate trace). `--check`
-//! parses, validates, and expands the grid without running it.
+//! `sweep <name>` is shorthand for `sweep --spec
+//! experiments/specs/<name>.toml`, found from any working directory:
+//! the files under `experiments/specs/` are the only definition of the
+//! shipped experiments (`fig1`, `fig3`, `tab1`, `txt1`, `txt2`,
+//! `scaling`, `smoke`, `coexist-fairness`, `coexist-vs-tcp`, `ext-aqm`,
+//! `replay-cellular`, `dumbbell-cross`, `parking-lot` and
+//! `ext-scaling-flows`). `--check` parses, validates, and expands the
+//! grid without running it.
 //!
-//! `--duration`, `--branches`, and `--replicates` override the grid the
-//! same way for presets and spec files, and are rejected when the grid
-//! has nothing to apply them to (a silently ignored parameter would
-//! yield a sweep that does not match what was asked for). Spec-file
-//! parse and validation failures exit with code 2 — distinct from a run
-//! failure — and name the offending file, line, and column.
+//! `--duration`, `--branches`, and `--replicates` override the grid
+//! (see [`SweepGrid::set_duration`] and its siblings), and are rejected
+//! when the grid has nothing to apply them to (a silently ignored
+//! parameter would yield a sweep that does not match what was asked
+//! for). Spec-file read, parse and validation failures exit with code
+//! 2 — distinct from a run failure — and name the offending file, line,
+//! and column.
 //!
 //! Every run's seed derives from `(base seed, run index)`, so the CSV is
 //! byte-identical for any `--workers` value — `--workers 1` is the
 //! reference execution.
 
 use augur_bench::out_dir;
-use augur_scenario::{grid_to_toml, load_grid, presets, traces, Axis, SweepGrid, SweepRunner};
+use augur_scenario::{load_grid, shipped_spec_path, SweepGrid, SweepRunner};
 use augur_sim::Dur;
 use std::fs;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::exit;
 
-/// Where the grid comes from.
-enum Source {
-    Preset(String),
-    Spec(PathBuf),
-}
-
 struct Options {
-    source: Option<Source>,
-    export_specs: Option<PathBuf>,
-    export_traces: Option<PathBuf>,
+    /// The spec file: `--spec <file>`, or a shipped name's file.
+    spec: Option<PathBuf>,
     check: bool,
     workers: Option<usize>,
     duration: Option<u64>,
@@ -62,10 +54,8 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sweep [--preset] <{}>\n\
+        "usage: sweep <name>        (runs {})\n\
          \x20      sweep --spec <file.toml>\n\
-         \x20      sweep --export-specs <dir>\n\
-         \x20      sweep --export-traces <dir>\n\
          \x20 options: [--check] [--workers N] [--duration SECS] [--branches B] \
          [--replicates K] [--jsonl] [--trace-events [DIR]] [--belief-snapshots SECS] \
          [--progress]\n\
@@ -76,7 +66,7 @@ fn usage() -> ! {
          \x20   --belief-snapshots SECS: emit posterior snapshots every SECS of sim \
          time into the event logs (implies --trace-events output)\n\
          \x20   --progress: completed-run ticker on stderr (report bytes unchanged)",
-        presets::NAMES.join("|")
+        shipped_spec_path("<name>").display()
     );
     exit(2)
 }
@@ -88,9 +78,7 @@ fn parse_args() -> Options {
 fn parse_from(args: impl Iterator<Item = String>) -> Options {
     let mut args = args.peekable();
     let mut opts = Options {
-        source: None,
-        export_specs: None,
-        export_traces: None,
+        spec: None,
         check: false,
         workers: None,
         duration: None,
@@ -101,10 +89,9 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
         belief_snapshots: None,
         progress: false,
     };
-    // The preset names the sweep; accept it positionally as the first
-    // argument or anywhere as --preset/--spec.
+    // A shipped name comes first, positionally; `--spec` names any file.
     if matches!(args.peek(), Some(p) if !p.starts_with("--")) {
-        opts.source = Some(Source::Preset(args.next().unwrap()));
+        opts.spec = Some(shipped_spec_path(&args.next().unwrap()));
     }
     while let Some(flag) = args.next() {
         // `--trace-events` takes an optional directory: consume the next
@@ -129,24 +116,14 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
                 usage()
             })
         }
-        let set_source = |opts: &mut Options, source: Source| {
-            if opts.source.is_some() {
-                eprintln!("give exactly one of a preset or --spec");
-                usage()
-            }
-            opts.source = Some(source);
-        };
         match flag.as_str() {
-            "--preset" => {
-                let name = value("--preset");
-                set_source(&mut opts, Source::Preset(name));
-            }
             "--spec" => {
-                let path = value("--spec");
-                set_source(&mut opts, Source::Spec(PathBuf::from(path)));
+                let path = PathBuf::from(value("--spec"));
+                if opts.spec.replace(path).is_some() {
+                    eprintln!("give exactly one of a name or --spec");
+                    usage()
+                }
             }
-            "--export-specs" => opts.export_specs = Some(PathBuf::from(value("--export-specs"))),
-            "--export-traces" => opts.export_traces = Some(PathBuf::from(value("--export-traces"))),
             "--check" => opts.check = true,
             "--workers" => {
                 let n: usize = numeric("--workers", value("--workers"));
@@ -180,12 +157,11 @@ fn parse_from(args: impl Iterator<Item = String>) -> Options {
     opts
 }
 
-/// Apply `--duration` / `--branches` / `--replicates` to the grid — the
-/// same semantics for presets and spec files — rejecting any override
-/// the grid cannot consume.
+/// Apply `--duration` / `--branches` / `--replicates` to the grid,
+/// rejecting any override the grid cannot consume.
 fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
     if let Some(secs) = opts.duration {
-        grid.base.duration = Dur::from_secs(secs);
+        grid.set_duration(Dur::from_secs(secs));
     }
     // AUGUR_BRANCHES is ambient; only an explicit --branches on a grid
     // with no branch cap is a hard authoring error.
@@ -193,114 +169,37 @@ fn apply_overrides(grid: &mut SweepGrid, opts: &Options, label: &str) {
         .ok()
         .and_then(|s| s.parse().ok());
     if let Some(b) = opts.branches.or(env_branches) {
-        let mut applied = false;
-        if let Some(cap) = grid.base.sender.max_branches_mut() {
-            *cap = b;
-            applied = true;
-        }
-        for axis in &mut grid.axes {
-            if let Axis::Sender(senders) = axis {
-                for s in senders {
-                    if let Some(cap) = s.max_branches_mut() {
-                        *cap = b;
-                        applied = true;
-                    }
-                }
-            }
-        }
-        if !applied && opts.branches.is_some() {
+        if !grid.set_max_branches(b) && opts.branches.is_some() {
             eprintln!("{label} does not take --branches (no exact-belief sender in the grid)");
             usage()
         }
     }
     if let Some(k) = opts.replicates {
-        let mut applied = false;
-        for axis in &mut grid.axes {
-            if let Axis::Seeds(count) = axis {
-                *count = k;
-                applied = true;
-            }
-        }
-        if !applied {
+        if !grid.set_replicates(k) {
             eprintln!("{label} does not take --replicates (no seeds axis in the grid)");
             usage()
         }
     }
 }
 
-/// Write the canonical spec file for every preset into `dir`.
-fn export_specs(dir: &PathBuf) {
-    fs::create_dir_all(dir).expect("create spec dir");
-    for name in presets::NAMES {
-        let grid = presets::by_name(name).expect("registry names resolve");
-        let path = dir.join(format!("{name}.toml"));
-        fs::write(&path, grid_to_toml(&grid)).expect("write spec file");
-        println!("  wrote {}", path.display());
-    }
-}
-
-/// Write the canonical CSV for every shipped synthetic trace into `dir`.
-fn export_traces(dir: &PathBuf) {
-    fs::create_dir_all(dir).expect("create trace dir");
-    for name in traces::NAMES {
-        let samples = traces::by_name(name).expect("registry names resolve");
-        let path = dir.join(format!("{name}.csv"));
-        fs::write(&path, traces::trace_to_csv(name, &samples)).expect("write trace file");
-        println!("  wrote {}", path.display());
-    }
-}
-
 fn main() {
     let opts = parse_args();
-    if opts.export_specs.is_some() || opts.export_traces.is_some() {
-        // Export writes the canonical default artifacts; a run flag here
-        // would be silently ignored, so reject the combination.
-        if opts.source.is_some()
-            || opts.check
-            || opts.workers.is_some()
-            || opts.duration.is_some()
-            || opts.branches.is_some()
-            || opts.replicates.is_some()
-            || opts.jsonl
-            || opts.trace_events.is_some()
-            || opts.belief_snapshots.is_some()
-            || opts.progress
-        {
-            eprintln!("--export-specs/--export-traces take no preset, spec, or run flags");
-            usage()
-        }
-        if let Some(dir) = &opts.export_specs {
-            export_specs(dir);
-        }
-        if let Some(dir) = &opts.export_traces {
-            export_traces(dir);
-        }
-        return;
-    }
-    let (mut grid, label) = match &opts.source {
-        Some(Source::Preset(name)) => match presets::by_name(name) {
-            Some(grid) => (grid, format!("preset {name:?}")),
-            None => {
-                eprintln!("unknown preset {name:?}");
-                usage()
+    let Some(path) = &opts.spec else { usage() };
+    let mut grid = match load_grid(path) {
+        Ok(grid) => grid,
+        Err(e) => {
+            // Read/parse/validation failure: exit 2, distinct from a run
+            // failure, naming the file and position. IO errors carry no
+            // position (and already name the path).
+            if e.line == 0 {
+                eprintln!("{}", e.message);
+            } else {
+                eprintln!("{}:{e}", path.display());
             }
-        },
-        Some(Source::Spec(path)) => match load_grid(path) {
-            Ok(grid) => (grid, format!("spec {}", path.display())),
-            Err(e) => {
-                // Parse/validation failure: exit 2, distinct from a run
-                // failure, naming the file and position. IO errors carry
-                // no position (and already name the path).
-                if e.line == 0 {
-                    eprintln!("{}", e.message);
-                } else {
-                    eprintln!("{}:{e}", path.display());
-                }
-                exit(2)
-            }
-        },
-        None => usage(),
+            exit(2)
+        }
     };
+    let label = format!("spec {}", path.display());
     apply_overrides(&mut grid, &opts, &label);
     // Observability flags arm the base spec before expansion, so every
     // expanded run inherits them (a spec file's [observe] table arms the
@@ -441,7 +340,11 @@ mod tests {
     #[test]
     fn parses_positional_preset_and_workers() {
         let opts = parse(&["fig3", "--workers", "8", "--duration", "30"]);
-        assert!(matches!(opts.source, Some(Source::Preset(ref p)) if p == "fig3"));
+        assert_eq!(opts.spec, Some(shipped_spec_path("fig3")));
+        assert!(
+            opts.spec.as_ref().unwrap().is_file(),
+            "fig3 is a shipped spec"
+        );
         assert_eq!(opts.workers, Some(8));
         assert_eq!(opts.duration, Some(30));
     }
@@ -449,7 +352,7 @@ mod tests {
     #[test]
     fn parses_spec_and_flags() {
         let opts = parse(&["--spec", "x.toml", "--check", "--jsonl"]);
-        assert!(matches!(opts.source, Some(Source::Spec(_))));
+        assert_eq!(opts.spec, Some(PathBuf::from("x.toml")));
         assert!(opts.check);
         assert!(opts.jsonl);
         assert_eq!(opts.workers, None);

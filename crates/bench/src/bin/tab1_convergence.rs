@@ -7,16 +7,16 @@
 //! the α = 1 sender for 120 s against the paper's ground truth and report
 //! the posterior marginal of each parameter over time.
 //!
-//! The experiment is the `presets::tab1` scenario (also shipped as
-//! `experiments/specs/tab1.toml`); this binary builds the exact truth
+//! The experiment is the shipped `experiments/specs/tab1.toml`; this
+//! binary builds the exact truth
 //! and sender that scenario describes via the scenario runner's helpers,
 //! because the posterior snapshots need the belief mid-run — a
 //! measurement the summary-only sweep path does not expose.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, exit_on_failed_checks, save_csv, shipped};
 use augur_core::run_closed_loop;
-use augur_scenario::{presets, spec_ground_truth, spec_isender};
-use augur_sim::{BitRate, Bits, Dur, Ppm, Time};
+use augur_scenario::{spec_ground_truth, spec_isender};
+use augur_sim::{BitRate, Bits, Ppm, Time};
 use augur_trace::Series;
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
     );
 
     // Run in 10 s stages so we can snapshot the posterior as it sharpens.
-    let runs = presets::tab1(Dur::from_secs(120), 50_000).expand();
+    let runs = shipped("tab1").expand();
     let run = &runs[0];
     let mut truth = spec_ground_truth(&run.spec, run.seed);
     let mut sender = spec_isender(&run.spec);
@@ -120,4 +120,5 @@ fn main() {
         last.5 < 4_000,
         format!("{} branches from 4,760 grid points", last.5),
     );
+    exit_on_failed_checks();
 }

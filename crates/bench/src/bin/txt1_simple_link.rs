@@ -6,23 +6,22 @@
 //! Once it has inferred those parameters, it simply sends at the link
 //! speed from there on out."
 //!
-//! The experiment is the `presets::txt1` scenario — a quiet 12 kbit/s
-//! link with a half-full buffer, neither known to the sender, and a
-//! cross-free custom prior (also shipped as `experiments/specs/
-//! txt1.toml`). This binary builds the scenario's truth and sender via
+//! The experiment is the shipped `experiments/specs/txt1.toml` — a
+//! quiet 12 kbit/s link with a half-full buffer, neither known to the
+//! sender, and a cross-free custom prior. This binary builds the scenario's truth and sender via
 //! the scenario runner's helpers because the checks read the posterior
 //! out of the belief after the run.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, exit_on_failed_checks, save_csv, shipped};
 use augur_core::run_closed_loop;
-use augur_scenario::{presets, spec_ground_truth, spec_isender};
-use augur_sim::{BitRate, Dur, Time};
+use augur_scenario::{spec_ground_truth, spec_isender};
+use augur_sim::{BitRate, Time};
 use augur_trace::{render, PlotConfig, Series};
 
 fn main() {
     println!("TXT1: single ISender on an unknown link (no cross traffic, no loss), 90 s");
 
-    let runs = presets::txt1(Dur::from_secs(90)).expand();
+    let runs = shipped("txt1").expand();
     let run = &runs[0];
     let mut truth = spec_ground_truth(&run.spec, run.seed);
     let mut sender = spec_isender(&run.spec);
@@ -86,4 +85,5 @@ fn main() {
             == 0,
         "zero own-flow drops",
     );
+    exit_on_failed_checks();
 }

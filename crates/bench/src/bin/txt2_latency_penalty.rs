@@ -7,20 +7,20 @@
 //! buffer that starts half full): one with the pure α = 1 utility, one
 //! with an added latency penalty on cross traffic. The penalized sender
 //! must hold back while the backlog drains and keep the standing queue
-//! shallower. The experiment is the `presets::txt2` scenario grid (the
-//! latency penalty is a sweep axis); this binary adds the plot and the
+//! shallower. The experiment is the shipped `experiments/specs/txt2.toml`
+//! grid (the latency penalty is a sweep axis); this binary adds the plot and the
 //! shape checks.
 
-use augur_bench::{check, save_csv};
+use augur_bench::{check, exit_on_failed_checks, save_csv, shipped};
 use augur_core::RunTrace;
-use augur_scenario::{presets, SweepRunner};
-use augur_sim::{Dur, Time};
+use augur_scenario::SweepRunner;
+use augur_sim::Time;
 use augur_trace::{render, PlotConfig, Series};
 
 /// Mean cross-traffic delay in the second minute (steady state). Cross
 /// packets are emitted isochronously, one packet-service-time apart at
 /// the cross rate — derive the period from the scenario's topology so a
-/// preset retune cannot desynchronize this measurement.
+/// spec retune cannot desynchronize this measurement.
 fn mean_cross_delay(trace: &RunTrace, topology: &augur_elements::ModelParams) -> f64 {
     let period_s = topology.packet_size.as_f64() / topology.cross_rate.as_bps() as f64;
     let delays: Vec<f64> = trace
@@ -41,7 +41,7 @@ fn mean_cross_delay(trace: &RunTrace, topology: &augur_elements::ModelParams) ->
 
 fn main() {
     println!("TXT2: latency-penalty utility drains the buffer before filling the link, 120 s");
-    let runs = presets::txt2(Dur::from_secs(120)).expand();
+    let runs = shipped("txt2").expand();
     let (_, traces) = SweepRunner::parallel().verbose().run_traced(&runs);
     // Match traces to runs by the spec's latency penalty, not by
     // position, so reordering the preset axis cannot swap them.
@@ -114,4 +114,5 @@ fn main() {
         pen_delay < plain_delay,
         format!("{pen_delay:.2}s vs {plain_delay:.2}s"),
     );
+    exit_on_failed_checks();
 }

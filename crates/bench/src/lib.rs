@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! `augur-bench` — the experiment harness.
 //!
-//! One binary per paper artifact (see DESIGN.md §3 for the index):
+//! One binary per paper artifact:
 //!
 //! | binary                | artifact |
 //! |-----------------------|----------|
@@ -10,19 +10,22 @@
 //! | `fig3_alpha_sweep`    | Figure 3: sequence number vs time across α |
 //! | `txt1_simple_link`    | §4: single sender on an unknown link |
 //! | `txt2_latency_penalty`| §4: latency penalty drains the buffer first |
-//! | `ext_fairness`        | §3.5: two ISenders sharing a bottleneck (coexist-fairness preset) |
-//! | `ext_vs_tcp`          | §3.5: ISender vs AIMD / TCP Reno / CUBIC (coexist-vs-tcp preset) |
+//! | `ext_fairness`        | §3.5: two ISenders sharing a bottleneck (`coexist-fairness` spec) |
+//! | `ext_vs_tcp`          | §3.5: ISender vs AIMD / TCP Reno / CUBIC (`coexist-vs-tcp` spec) |
 //! | `ext_scaling`         | §5: exact enumeration vs particle filter |
 //! | `ext_aqm`             | §3.5: AQM (RED/CoDel) vs deep FIFO under TCP |
 //!
-//! Each binary prints its figure as an ASCII chart, writes CSV under
-//! `experiments/`, and prints the shape checks EXPERIMENTS.md records.
+//! Each binary loads its experiment from the shipped spec files under
+//! `experiments/specs/` ([`shipped`]), prints its figure as an ASCII
+//! chart, writes CSV under `experiments/`, and prints the paper's shape
+//! claims as [`check`]s. A binary whose checks did not all pass exits
+//! with status 1 ([`exit_on_failed_checks`]).
 
-use augur_elements::ModelParams;
-use augur_inference::{Belief, BeliefConfig, ModelPrior};
+use augur_scenario::{load_shipped, SweepGrid};
 use augur_trace::Series;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Where experiment CSVs land (override with `AUGUR_OUT`).
 pub fn out_dir() -> PathBuf {
@@ -42,18 +45,31 @@ pub fn save_csv(name: &str, series: &[&Series]) {
     println!("  wrote {}", path.display());
 }
 
-/// The paper's prior as a belief, with a configurable branch cap.
-/// (The scenario runner's `spec_ground_truth`/`spec_isender` replaced
-/// the old binary-local harness constructors; this remains for the
-/// feature-gated criterion benches.)
-pub fn paper_belief(max_branches: usize) -> Belief<ModelParams> {
-    ModelPrior::paper().belief(BeliefConfig {
-        max_branches,
-        ..BeliefConfig::default()
-    })
+/// The shipped experiment `experiments/specs/<name>.toml`.
+///
+/// # Panics
+/// Panics with the spec error if the file is missing or invalid.
+pub fn shipped(name: &str) -> SweepGrid {
+    load_shipped(name).unwrap_or_else(|e| panic!("shipped spec {name:?}: {e}"))
 }
 
-/// Render a one-line pass/fail check.
+/// Checks that failed so far in this process.
+static FAILED_CHECKS: AtomicUsize = AtomicUsize::new(0);
+
+/// Print a one-line pass/fail check, and record a failure.
 pub fn check(name: &str, ok: bool, detail: impl std::fmt::Display) {
     println!("  [{}] {name}: {detail}", if ok { "PASS" } else { "FAIL" });
+    if !ok {
+        FAILED_CHECKS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Exit with status 1 if any [`check`] failed. Call at the end of
+/// `main`.
+pub fn exit_on_failed_checks() {
+    let failed = FAILED_CHECKS.load(Ordering::Relaxed);
+    if failed > 0 {
+        eprintln!("{failed} check(s) failed");
+        std::process::exit(1);
+    }
 }

@@ -12,7 +12,7 @@
 //! utility of everything delivered. Rollouts are **determinized**
 //! (certainty-equivalent): stochastic choices resolve to their nominal
 //! outcome, with last-mile loss folded into a per-packet delivery
-//! probability instead of a fork (DESIGN.md §4.6). The horizon end is the
+//! probability instead of a fork. The horizon end is the
 //! same for every candidate action, so candidates are compared on equal
 //! terms.
 

@@ -13,7 +13,7 @@
 //! for a stream at `r` packets/s, packet `t` arrives τ = 1000·t/r ms in
 //! the future, and the stated summand e^(−t/(1000 r)) equals
 //! e^(−τ/10⁶). So the discount is **e^(−τ_ms/Θ) with Θ = 10⁶ ms**
-//! (DESIGN.md §4.5), and [`discounted_stream_sum`] reproduces the
+//! and [`discounted_stream_sum`] reproduces the
 //! identity exactly (tested, and property-tested at the workspace level).
 //!
 //! The utility "may include a parameter varying the relative value of

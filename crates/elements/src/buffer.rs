@@ -40,7 +40,7 @@ pub enum BufferKind {
 
 /// RED's configuration. The average queue it controls lives in
 /// [`AqmState::Red`], kept in 1/256-bit fixed point so the element stays
-/// integer-valued (`Eq + Hash`, DESIGN.md §4.1).
+/// integer-valued (`Eq + Hash`; see the `augur_sim` crate doc).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RedParams {
     /// Minimum threshold, bits.

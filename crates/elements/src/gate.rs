@@ -6,7 +6,7 @@
 //!   (§3.1). The memoryless process is realized as a per-epoch Bernoulli
 //!   switch (geometric interarrival, the discrete-time memoryless law),
 //!   with switch probability `1 − e^(−epoch/mtts)` so the mean time to
-//!   switch matches `mtts` as the epoch shrinks (DESIGN.md §4.4). Using a
+//!   switch matches `mtts` as the epoch shrinks. Using a
 //!   finite per-epoch choice lets ground truth (sampled) and belief
 //!   branches (forked) share one mechanism.
 //! * SQUAREWAVE — "regularly alternates between connected and

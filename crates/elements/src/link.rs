@@ -1,6 +1,6 @@
 //! THROUGHPUT — "a throughput-limited link, operating at a particular
 //! speed in bits per second" (§3.1) — generalized with two optional
-//! features needed by the Figure-1 reproduction (DESIGN.md §5):
+//! features needed by the Figure-1 reproduction (see `crate::cellular`):
 //!
 //! * a **rate process**: the speed may follow a piecewise-constant,
 //!   periodic schedule or a measured rate trace instead of being constant

@@ -5,7 +5,8 @@
 //! with two successors. A [`Network`] is a *value*: cloneable, comparable
 //! and hashable, because the inference engine maintains thousands of them
 //! as belief-state hypotheses and compacts branches whose states have
-//! reconverged (§3.2, DESIGN.md §4.1).
+//! reconverged (§3.2; the `augur_sim` crate doc states the integer-state
+//! rule this rests on).
 //!
 //! # Structure sharing
 //!

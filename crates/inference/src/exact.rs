@@ -13,7 +13,7 @@
 //! branches; reconverged branches are compacted; a configurable cap prunes
 //! the lightest branches (the paper's computational limit, §3.2).
 //!
-//! # The last-mile loss fold (DESIGN.md §4.3)
+//! # The last-mile loss fold
 //!
 //! When the LOSS element sits at the *last mile* (nothing stateful
 //! downstream — the paper's own design point: "if stochastic loss is

@@ -16,7 +16,7 @@
 //!   exact arrival time) and the consistency rule.
 //!
 //! Both engines share the hypothesis representation ([`hypothesis`]) and
-//! the last-mile loss fold (DESIGN.md §4.3).
+//! the last-mile loss fold (described in [`exact`]).
 
 pub mod exact;
 pub mod hypothesis;

@@ -5,10 +5,10 @@
 //!
 //! Each particle is a concrete network trajectory: parameters drawn from
 //! the prior, stochastic transitions *sampled* rather than forked. Because
-//! observations are exact-time events (DESIGN.md §4.1), the likelihood of
-//! a mismatch is zero — a particle either predicts the window's ACKs
-//! exactly (weight kept, last-mile loss folded analytically like the exact
-//! engine) or dies. Systematic resampling replenishes the population from
+//! observations are exact-time events (see [`crate::observe`]), the
+//! likelihood of a mismatch is zero — a particle either predicts the
+//! window's ACKs exactly (weight kept, last-mile loss folded analytically
+//! like the exact engine) or dies. Systematic resampling replenishes the population from
 //! the survivors when the effective sample size drops.
 //!
 //! Cost per update is O(particles), independent of the prior's size —

@@ -90,24 +90,51 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
+/// One `//` line comment (`///` and `//!` included): its text from the
+/// first slash to the end of the line, and that slash's position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Comment {
+    /// 1-based source line.
+    pub line: u32,
+    /// 1-based column (in characters) of the first `/`.
+    pub col: u32,
+    /// The comment text, slashes included.
+    pub text: String,
+}
+
 /// Tokenize Rust source into identifier and punctuation tokens.
 /// Comments, strings, char literals, lifetimes, and numbers are
 /// consumed but produce no tokens.
 pub fn lex(src: &str) -> Vec<Tok> {
+    lex_with_comments(src).0
+}
+
+/// Every `//` line comment in the source — the text rules that read
+/// comments (L040) scan, with string literals already excluded.
+pub fn line_comments(src: &str) -> Vec<Comment> {
+    lex_with_comments(src).1
+}
+
+fn lex_with_comments(src: &str) -> (Vec<Tok>, Vec<Comment>) {
     let mut cur = Cursor::new(src);
     let mut toks = Vec::new();
+    let mut comments = Vec::new();
     while let Some(c) = cur.peek() {
         if c.is_whitespace() {
             cur.bump();
             continue;
         }
         if c == '/' && cur.peek_at(1) == Some('/') {
+            let (line, col) = (cur.line, cur.col);
+            let mut text = String::new();
             while let Some(c) = cur.peek() {
                 if c == '\n' {
                     break;
                 }
+                text.push(c);
                 cur.bump();
             }
+            comments.push(Comment { line, col, text });
             continue;
         }
         if c == '/' && cur.peek_at(1) == Some('*') {
@@ -204,7 +231,7 @@ pub fn lex(src: &str) -> Vec<Tok> {
             gated: false,
         });
     }
-    toks
+    (toks, comments)
 }
 
 /// `/* … */` with nesting, per the Rust reference.

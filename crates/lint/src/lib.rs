@@ -21,6 +21,10 @@
 //!   return positioned errors must not `unwrap`/`expect`/`panic!`;
 //! * **C030** counter coverage — every `WorkCounters` field has a bump
 //!   helper, a production increment site, and a perf-suite pin;
+//! * **C031** event coverage — every obs `EventKind` variant has a
+//!   production emission site outside the obs crate;
+//! * **L040** doc-reference hygiene — a `*.md` path cited in a comment
+//!   must exist relative to the workspace root;
 //! * **W000** waiver hygiene — waivers anchor to exact `file:line`
 //!   positions and fail the build when stale.
 //!
@@ -147,7 +151,7 @@ impl From<io::Error> for LintError {
 pub fn run(root: &Path, waiver_file: Option<&Path>) -> Result<LintReport, LintError> {
     let files = collect_sources(root)?;
     let files_scanned = files.len();
-    let raw = rules::scan(&files);
+    let raw = rules::scan(&files, &|p: &str| root.join(p).is_file());
     let before = raw.len();
     let (violations, waived) = match waiver_file {
         Some(wf) => {

@@ -5,7 +5,7 @@
 //! / `#[test]` items) — test code may panic, iterate hash maps, and
 //! spawn threads at will.
 
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{line_comments, Tok, TokKind};
 
 /// One diagnostic: a rule fired at a position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +80,11 @@ pub const RULES: &[RuleInfo] = &[
         summary: "event coverage: every obs EventKind variant needs at least one \
                   production emission site outside crates/obs — an event nothing \
                   emits is dead schema",
+    },
+    RuleInfo {
+        id: "L040",
+        summary: "doc-reference hygiene: a `*.md` path cited in a comment (test code \
+                  included) must name a file that exists relative to the workspace root",
     },
     RuleInfo {
         id: "W000",
@@ -527,15 +532,77 @@ fn bump_helpers(toks: &[Tok]) -> Vec<(String, String)> {
     helpers
 }
 
+/// Doc-reference hygiene (L040): every `*.md` path a `//` comment
+/// cites must exist. `exists` answers for a workspace-root-relative
+/// path. Comments are not tokens, so this rule re-lexes the raw source
+/// for them ([`line_comments`]); it covers test code too.
+pub fn scan_doc_refs(
+    files: &[SourceFile],
+    exists: &dyn Fn(&str) -> bool,
+    out: &mut Vec<Violation>,
+) {
+    for f in files {
+        for c in line_comments(&f.src) {
+            for (at, path) in md_paths(&c.text) {
+                if !exists(path) {
+                    out.push(Violation {
+                        path: f.rel_path.clone(),
+                        line: c.line,
+                        col: c.col + c.text[..at].chars().count() as u32,
+                        rule: "L040",
+                        message: format!(
+                            "comment cites `{path}`, which does not exist relative to the \
+                             workspace root; point at an existing file or section, or drop \
+                             the citation"
+                        ),
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// `(byte offset, path)` of every relative `*.md` path in `text`: a run
+/// of path characters ending in `.md` that is not followed by another
+/// word character. Absolute paths and URLs are skipped.
+fn md_paths(text: &str) -> Vec<(usize, &str)> {
+    let path_char = |c: u8| c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b'/');
+    let bytes = text.as_bytes();
+    let mut found = Vec::new();
+    let mut from = 0;
+    while let Some(k) = text[from..].find(".md") {
+        let end = from + k + 3;
+        from = end;
+        if bytes
+            .get(end)
+            .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_')
+        {
+            continue;
+        }
+        let mut start = end - 3;
+        while start > 0 && path_char(bytes[start - 1]) {
+            start -= 1;
+        }
+        let path = &text[start..end];
+        let url = start > 0 && bytes[start - 1] == b':';
+        if path.len() > 3 && !path.starts_with('/') && !url && !path.ends_with("/.md") {
+            found.push((start, path.trim_start_matches("./")));
+        }
+    }
+    found
+}
+
 /// Run the whole rule set over a scanned tree, returning diagnostics
-/// sorted by `(path, line, col, rule)`.
-pub fn scan(files: &[SourceFile]) -> Vec<Violation> {
+/// sorted by `(path, line, col, rule)`. `doc_exists` answers L040's
+/// question: does this workspace-root-relative path exist?
+pub fn scan(files: &[SourceFile], doc_exists: &dyn Fn(&str) -> bool) -> Vec<Violation> {
     let mut out = Vec::new();
     for f in files {
         scan_file(f, &mut out);
     }
     scan_counters(files, &mut out);
     scan_events(files, &mut out);
+    scan_doc_refs(files, doc_exists, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule)));
     out
 }
@@ -713,6 +780,35 @@ mod tests {
             .map(|(n, _, _)| n)
             .collect();
         assert_eq!(names, vec!["Drop".to_string(), "Snapshot".to_string()]);
+    }
+
+    #[test]
+    fn dangling_doc_references_are_flagged() {
+        let f = file(
+            "crates/core/src/planner.rs",
+            "//! See README.md and DESIGN.md §4 (planted), ./ROADMAP.md too.\n\
+             /// Per `docs/gone.md`; https://example.org/x.md and `*.md` are not paths.\n\
+             let s = \"// not/a/comment.md\"; // trailing: crates/bench/NOTES.md\n\
+             let t = \"multi-line\n// still/a/string.md\"; /* block.md */\n\
+             #[cfg(test)] // tests too: MISSING.md\n",
+        );
+        let exists = |p: &str| matches!(p, "README.md" | "ROADMAP.md");
+        let mut out = Vec::new();
+        scan_doc_refs(&[f], &exists, &mut out);
+        let hits: Vec<(u32, u32, &str)> = out.iter().map(|v| (v.line, v.col, v.rule)).collect();
+        assert_eq!(
+            hits,
+            vec![
+                (1, 23, "L040"),
+                (2, 10, "L040"),
+                (3, 45, "L040"),
+                (6, 28, "L040")
+            ]
+        );
+        assert!(out[0].message.contains("`DESIGN.md`"));
+        assert!(out[1].message.contains("`docs/gone.md`"));
+        assert!(out[2].message.contains("`crates/bench/NOTES.md`"));
+        assert!(out[3].message.contains("`MISSING.md`"));
     }
 
     #[test]

@@ -71,22 +71,22 @@ fn parse_args(args: impl Iterator<Item = String>) -> Options {
 fn print_summary(report: &SuiteReport) {
     println!("SUITE {} ({})", report.suite, report.mode);
     for m in &report.results {
+        let work = m
+            .work_per_batch
+            .named()
+            .iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect::<Vec<_>>()
+            .join(" ");
         println!(
             "  {:<14} median {:>12.6}s/iter  (p10 {:.6}, p90 {:.6}; {} batches × {} iters)  \
-             work: {} events, {} forwards, {} hyp-updates, {} resamples, {} integrations, \
-             {} builds",
+             work: {work}",
             m.name,
             m.secs_per_iter.median,
             m.secs_per_iter.p10,
             m.secs_per_iter.p90,
             m.config.batches,
             m.config.iters_per_batch,
-            m.work_per_batch.events_processed,
-            m.work_per_batch.packets_forwarded,
-            m.work_per_batch.hypothesis_updates,
-            m.work_per_batch.particle_resamples,
-            m.work_per_batch.rate_integrations,
-            m.work_per_batch.networks_built,
         );
     }
     for (name, value) in &report.derived {

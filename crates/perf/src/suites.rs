@@ -14,8 +14,9 @@ use augur_elements::{DropRecord, RateProcess, TraceEnd};
 use augur_inference::Observation;
 use augur_inference::{BeliefConfig, ModelPrior};
 use augur_scenario::{
-    execute_run, presets, spec_belief_in, traces, Axis, ObserveSpec, PriorCache, PriorSpec,
-    RunSpec, ScenarioSpec, SenderSpec, SweepGrid, SweepRunner, TopologySpec, WorkloadSpec,
+    execute_run, experiments_dir, load_shipped, spec_belief_in, traces, Axis, ObserveSpec,
+    PriorCache, PriorSpec, RunSpec, ScenarioSpec, SenderSpec, SweepGrid, SweepRunner, TopologySpec,
+    WorkloadSpec,
 };
 use augur_sim::perf;
 use augur_sim::{BitRate, Bits, Dur, EventQueue, FlowId, Packet, Ppm, SimRng, Time, WorkCounters};
@@ -50,6 +51,12 @@ pub fn run(name: &str, quick: bool) -> Option<SuiteReport> {
         "obs-overhead" => obs_overhead(quick),
         _ => return None,
     })
+}
+
+/// A shipped spec (`experiments/specs/<name>.toml`), which the sweep
+/// suites shrink with the [`SweepGrid`] override methods.
+fn shipped(name: &str) -> SweepGrid {
+    load_shipped(name).unwrap_or_else(|e| panic!("shipped spec {name:?}: {e}"))
 }
 
 fn mode(quick: bool) -> &'static str {
@@ -105,9 +112,12 @@ fn event_queue(quick: bool) -> SuiteReport {
 /// lookup on its own.
 fn rate_trace(quick: bool) -> SuiteReport {
     let n: u64 = if quick { 50_000 } else { 1_000_000 };
+    let path = experiments_dir().join("traces/lte-fade.csv");
+    let csv = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let process = RateProcess::Trace {
         label: "lte-fade".into(),
-        samples: traces::lte_fade(),
+        samples: traces::parse_trace_csv(&csv).unwrap_or_else(|e| panic!("{}:{e}", path.display())),
         end: TraceEnd::Loop,
     };
     let b = Bencher::new(bencher(quick).config.iters(if quick { 2 } else { 5 }));
@@ -284,9 +294,10 @@ fn sweep_fig3(quick: bool) -> SuiteReport {
     // Replicate each α three times: all twelve runs share one prior, so
     // the shared path enumerates it once where cold enumerates it per
     // run — the CI-pinned 12× `networks_built` gap.
-    let runs = presets::fig3(duration, branches)
-        .axis(Axis::Seeds(3))
-        .expand();
+    let mut grid = shipped("fig3");
+    grid.set_duration(duration);
+    grid.set_max_branches(branches);
+    let runs = grid.axis(Axis::Seeds(3)).expand();
     let b = bencher(quick);
     let mut report = SuiteReport::new("sweep-fig3", mode(quick));
     report.results.push(b.measure("serial", {
@@ -429,7 +440,9 @@ fn prior_reuse(quick: bool) -> SuiteReport {
 /// workload.
 fn sweep_replay(quick: bool) -> SuiteReport {
     let duration = Dur::from_secs(if quick { 5 } else { 20 });
-    let runs = presets::replay_cellular(duration).expand();
+    let mut grid = shipped("replay-cellular");
+    grid.set_duration(duration);
+    let runs = grid.expand();
     let n_runs = runs.len();
     let b = bencher(quick);
     let mut report = SuiteReport::new("sweep-replay", mode(quick));
@@ -443,7 +456,7 @@ fn sweep_replay(quick: bool) -> SuiteReport {
 
 /// Multi-bottleneck topology routing: compile throughput of the largest
 /// shipped builder (a k=4 fat-tree, 36 switches/hosts and 96 links) and
-/// end-to-end forwarding work of both shipped graph presets, whose
+/// end-to-end forwarding work of both shipped graph specs, whose
 /// packets route through per-link diverter chains. `packets_forwarded`
 /// is the pinned counter — any change to the compiled element layout or
 /// the routing fast path moves it.
@@ -468,16 +481,12 @@ fn topo_route(quick: bool) -> SuiteReport {
         }
         perf::snapshot().since(&before)
     }));
-    for (name, runs) in [
-        (
-            "dumbbell-cross",
-            presets::dumbbell_cross(duration, 2, branches).expand(),
-        ),
-        (
-            "parking-lot",
-            presets::parking_lot(duration, 2, branches).expand(),
-        ),
-    ] {
+    for name in ["dumbbell-cross", "parking-lot"] {
+        let mut grid = shipped(name);
+        grid.set_duration(duration);
+        grid.set_max_branches(branches);
+        grid.set_replicates(2);
+        let runs = grid.expand();
         report
             .results
             .push(b.measure(name, move || SweepRunner::serial().run(&runs).total_work()));
@@ -577,7 +586,9 @@ fn many_flow(quick: bool) -> SuiteReport {
 /// processes by the CI obs job.
 fn obs_overhead(quick: bool) -> SuiteReport {
     let duration = Dur::from_secs(if quick { 5 } else { 20 });
-    let grid = presets::smoke(duration, if quick { 2 } else { 4 });
+    let mut grid = shipped("smoke");
+    grid.set_duration(duration);
+    grid.set_replicates(if quick { 2 } else { 4 });
     let runs_off = grid.expand();
     let mut grid_on = grid;
     grid_on.base.observe = ObserveSpec {

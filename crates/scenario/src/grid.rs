@@ -12,7 +12,7 @@ use crate::spec::{
     PeerSpec, PriorSpec, QueueSpec, ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec,
 };
 use augur_elements::RateProcess;
-use augur_sim::{BitRate, Bits, Ppm, SimRng};
+use augur_sim::{BitRate, Bits, Dur, Ppm, SimRng};
 
 /// One sweep dimension.
 #[derive(Debug, Clone)]
@@ -234,6 +234,42 @@ impl SweepGrid {
         self
     }
 
+    /// Set every run's simulated duration.
+    pub fn set_duration(&mut self, duration: Dur) {
+        self.base.duration = duration;
+    }
+
+    /// Set the branch cap of every exact-belief sender: the base sender
+    /// and each point of any sender axis. Returns `false`, leaving the
+    /// grid unchanged, when the grid has no such sender.
+    pub fn set_max_branches(&mut self, cap: usize) -> bool {
+        let axis_senders = self.axes.iter_mut().flat_map(|axis| match axis {
+            Axis::Sender(senders) => senders.as_mut_slice(),
+            _ => &mut [],
+        });
+        let mut applied = false;
+        for sender in std::iter::once(&mut self.base.sender).chain(axis_senders) {
+            if let Some(slot) = sender.max_branches_mut() {
+                *slot = cap;
+                applied = true;
+            }
+        }
+        applied
+    }
+
+    /// Set the replicate count of every seeds axis. Returns `false`,
+    /// leaving the grid unchanged, when the grid has no seeds axis.
+    pub fn set_replicates(&mut self, count: usize) -> bool {
+        let mut applied = false;
+        for axis in &mut self.axes {
+            if let Axis::Seeds(k) = axis {
+                *k = count;
+                applied = true;
+            }
+        }
+        applied
+    }
+
     /// Total number of runs (product of axis lengths).
     pub fn len(&self) -> usize {
         self.axes.iter().map(Axis::len).product()
@@ -278,7 +314,6 @@ impl SweepGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use augur_sim::Dur;
 
     fn base() -> ScenarioSpec {
         let mut s = ScenarioSpec::paper_baseline("test");
@@ -375,6 +410,39 @@ mod tests {
             timeout: augur_sim::Dur::from_secs(8),
         }]));
         let _ = grid.expand();
+    }
+
+    #[test]
+    fn overrides_reach_the_base_and_every_sender_point() {
+        let mut grid = SweepGrid::new(base())
+            .axis(Axis::Sender(vec![
+                SenderSpec::IsenderExact {
+                    alpha: 1.0,
+                    latency_penalty: 0.0,
+                    max_branches: 10,
+                },
+                SenderSpec::TcpReno { max_window: 8 },
+            ]))
+            .axis(Axis::Seeds(2));
+        grid.set_duration(Dur::from_secs(7));
+        assert!(grid.set_max_branches(99));
+        assert!(grid.set_replicates(3));
+        let runs = grid.expand();
+        assert_eq!(runs.len(), 6);
+        assert!(runs.iter().all(|r| r.spec.duration == Dur::from_secs(7)));
+        assert_eq!(
+            runs[0].spec.sender.clone().max_branches_mut(),
+            Some(&mut 99)
+        );
+        assert_eq!(grid.base.sender.max_branches_mut(), Some(&mut 99));
+        assert_eq!(runs[3].spec.sender.label(), "tcp-reno");
+
+        // Nothing to apply: reported, and the grid is left alone.
+        let mut tcp = SweepGrid::new(base());
+        tcp.base.sender = SenderSpec::TcpReno { max_window: 8 };
+        assert!(!tcp.set_max_branches(99));
+        assert!(!tcp.set_replicates(3));
+        assert_eq!(tcp.len(), 1);
     }
 
     #[test]

@@ -18,32 +18,38 @@
 //! * [`SweepReport`] collects per-run [`RunSummary`]s (throughput, delay
 //!   percentiles, realized utility, overflow counts) and exports
 //!   deterministic CSV / JSON-lines through [`augur_trace::Table`];
-//! * [`config`] loads a whole grid from a TOML spec file (and writes the
-//!   canonical spec file for any grid), so new experiments are data
-//!   changes, not code changes — see `experiments/specs/`.
+//! * [`config`] loads a whole grid from a TOML spec file, so new
+//!   experiments are data changes, not code changes. The files under
+//!   `experiments/specs/` are the only definition of the shipped
+//!   experiments, and [`load_shipped`] loads one by name.
 //!
 //! # Example
 //!
 //! ```no_run
-//! use augur_scenario::{presets, SweepRunner};
+//! use augur_scenario::{load_shipped, SweepRunner};
 //! use augur_sim::Dur;
 //!
-//! // Figure 3's α sweep, executed across all cores.
-//! let runs = presets::fig3(Dur::from_secs(300), 50_000).expand();
-//! let report = SweepRunner::parallel().run(&runs);
+//! // Figure 3's α sweep, shortened and at a smaller branch cap,
+//! // executed across all cores.
+//! let mut grid = load_shipped("fig3").expect("shipped spec parses");
+//! grid.set_duration(Dur::from_secs(60));
+//! grid.set_max_branches(2_000);
+//! let report = SweepRunner::parallel().run(&grid.expand());
 //! print!("{}", report.to_csv_string());
 //! ```
 
 pub mod config;
 pub mod grid;
-pub mod presets;
 pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod traces;
 
 pub use augur_topo::{FlowSpec, GraphTopology, LinkSpec};
-pub use config::{grid_to_toml, load_grid, parse_grid, parse_grid_at, ConfigError};
+pub use config::{
+    experiments_dir, load_grid, load_shipped, parse_grid, parse_grid_at, shipped_spec_path,
+    ConfigError,
+};
 pub use grid::{Axis, RunSpec, SweepGrid};
 pub use report::{RunStatus, RunSummary, SweepReport};
 pub use runner::{

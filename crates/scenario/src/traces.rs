@@ -1,6 +1,5 @@
 //! Rate-trace files: the CSV loader behind the spec schema's
-//! `rate = { kind = "trace", … }`, and the deterministic synthetic
-//! LTE-like traces shipped under `experiments/traces/`.
+//! `rate = { kind = "trace", … }`.
 //!
 //! # File format
 //!
@@ -23,83 +22,16 @@
 //! last sample. Loader errors carry the CSV's own line and column, and
 //! the spec decoder prefixes them with the trace file's path.
 //!
-//! # Shipped synthetic traces
+//! # Shipped traces
 //!
 //! Real measured traces (e.g. the Verizon LTE download behind the
-//! paper's Figure 1) are not redistributable, so the repo ships
-//! *synthetic* LTE-like traces produced by the deterministic generators
-//! here — pure integer arithmetic over [`SimRng`], so the committed
-//! files are reproducible bit-for-bit on any platform
-//! (`sweep --export-traces` rewrites them; tests pin the equality).
-//! Both are authored to loop: the final sample closes the cycle.
+//! paper's Figure 1) are not redistributable, so the repo ships two
+//! synthetic LTE-like traces, `experiments/traces/lte-fade.csv` and
+//! `lte-scatter.csv`; each file's header says how it was made. Both
+//! are authored to loop: the final sample closes the cycle.
 
-use crate::config::{fmt_f64, ConfigError};
-use augur_sim::{BitRate, Dur, SimRng};
-use std::fmt::Write as _;
-
-/// Every shipped synthetic trace, in the order `--export-traces` writes
-/// them. Each name is the file stem under `experiments/traces/`.
-pub const NAMES: [&str; 2] = ["lte-fade", "lte-scatter"];
-
-/// The samples of a shipped trace, by file stem.
-pub fn by_name(name: &str) -> Option<Vec<(Dur, BitRate)>> {
-    match name {
-        "lte-fade" => Some(lte_fade()),
-        "lte-scatter" => Some(lte_scatter()),
-        _ => None,
-    }
-}
-
-/// `lte-fade`: a 60-second loop sampled every 500 ms — one deep, slow
-/// fade from 4 Mbit/s down to 250 kbit/s and back (the cell-edge
-/// drive-away-and-return profile), with ±10 % multiplicative jitter on
-/// every sample.
-pub fn lte_fade() -> Vec<(Dur, BitRate)> {
-    let mut rng = SimRng::seed_from_u64(0xFADE);
-    let (hi, lo) = (4_000_000u64, 250_000u64);
-    let half = 60u64; // samples per half-cycle: 30 s down, 30 s up
-    (0..=2 * half)
-        .map(|i| {
-            let base = if i <= half {
-                hi - (hi - lo) * i / half
-            } else {
-                lo + (hi - lo) * (i - half) / half
-            };
-            let bps = base * rng.uniform_u64(900, 1_100) / 1_000;
-            (Dur::from_millis(i * 500), BitRate::from_bps(bps))
-        })
-        .collect()
-}
-
-/// `lte-scatter`: a 45-second loop sampled every 250 ms — a fast
-/// multiplicative random walk between 100 kbit/s and 8 Mbit/s, the
-/// small-scale-fading counterpoint to `lte-fade`'s smooth excursion.
-pub fn lte_scatter() -> Vec<(Dur, BitRate)> {
-    let mut rng = SimRng::seed_from_u64(0x5CA7);
-    let (floor, ceil) = (100_000u64, 8_000_000u64);
-    let mut bps = 2_000_000u64;
-    (0..=180u64)
-        .map(|i| {
-            let sample = (Dur::from_millis(i * 250), BitRate::from_bps(bps));
-            bps = (bps * rng.uniform_u64(800, 1_250) / 1_000).clamp(floor, ceil);
-            sample
-        })
-        .collect()
-}
-
-/// The canonical CSV emission of a trace — what `--export-traces`
-/// writes and [`parse_trace_csv`] reads back sample-for-sample.
-pub fn trace_to_csv(name: &str, samples: &[(Dur, BitRate)]) -> String {
-    let mut out = format!(
-        "# Synthetic LTE-like rate trace `{name}` (see `augur_scenario::traces`);\n\
-         # regenerate with `sweep --export-traces experiments/traces`.\n\
-         time_s,bps\n"
-    );
-    for (t, r) in samples {
-        let _ = writeln!(out, "{},{}", fmt_f64(t.as_secs_f64()), r.as_bps());
-    }
-    out
-}
+use crate::config::ConfigError;
+use augur_sim::{BitRate, Dur};
 
 /// Parse trace-CSV text into validated samples. Errors are positioned
 /// within the CSV text itself; callers loading a file prefix the path.
@@ -189,11 +121,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generators_are_deterministic_and_loopable() {
-        for name in NAMES {
-            let a = by_name(name).unwrap();
-            let b = by_name(name).unwrap();
-            assert_eq!(a, b, "{name}: generator must be deterministic");
+    fn committed_traces_load_deterministically_and_are_loopable() {
+        let dir = crate::experiments_dir().join("traces");
+        let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        assert!(
+            !files.is_empty(),
+            "no committed traces under {}",
+            dir.display()
+        );
+        for path in files {
+            let name = path.display();
+            let csv = std::fs::read_to_string(&path).unwrap();
+            let a = parse_trace_csv(&csv).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let b = parse_trace_csv(&csv).unwrap();
+            assert_eq!(a, b, "{name}: loading must be deterministic");
             assert!(a.len() >= 2, "{name}: loopable traces need >= 2 samples");
             assert_eq!(a[0].0, Dur::ZERO, "{name}: first sample at 0");
             assert!(
@@ -201,19 +146,24 @@ mod tests {
                 "{name}: times must increase"
             );
         }
-        // The two traces cover different cycle lengths and cadences.
-        assert_eq!(lte_fade().last().unwrap().0, Dur::from_secs(60));
-        assert_eq!(lte_scatter().last().unwrap().0, Dur::from_secs(45));
     }
 
     #[test]
     fn csv_round_trips_sample_for_sample() {
-        for name in NAMES {
-            let samples = by_name(name).unwrap();
-            let csv = trace_to_csv(name, &samples);
-            let parsed = parse_trace_csv(&csv).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(samples, parsed, "{name}: CSV round-trip");
-        }
+        // Comments, blank lines and padding are skipped; every time
+        // lands on the microsecond grid and every rate is kept exactly.
+        let csv = "# a comment\n\ntime_s,bps\n0.0,4000000\n  0.5, 3657937\n60.0,4000000\n\
+                   60.000001,1\n";
+        let parsed = parse_trace_csv(csv).unwrap();
+        assert_eq!(
+            parsed,
+            vec![
+                (Dur::ZERO, BitRate::from_bps(4_000_000)),
+                (Dur::from_millis(500), BitRate::from_bps(3_657_937)),
+                (Dur::from_secs(60), BitRate::from_bps(4_000_000)),
+                (Dur::from_micros(60_000_001), BitRate::from_bps(1)),
+            ]
+        );
     }
 
     #[test]

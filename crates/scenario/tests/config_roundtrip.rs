@@ -1,123 +1,68 @@
 //! The config layer's external contract:
 //!
-//! 1. every preset survives preset → written spec file → parsed spec
-//!    with an identical grid (so `sweep --spec` of a shipped file and
-//!    the built-in preset can never produce different CSVs);
-//! 2. the spec files shipped under `experiments/specs/` are byte-for-
-//!    byte the canonical emission of today's presets — regenerating with
-//!    `sweep --export-specs experiments/specs` is the fix when this
-//!    fails;
-//! 3. spec files can reach configurations the presets don't, like N > 2
-//!    coexistence peers, and those run deterministically.
+//! 1. the rate traces shipped under `experiments/traces/` load, start at
+//!    0 and loop at their documented lengths (the spec files themselves
+//!    are pinned grid by grid in `shipped_specs.rs`);
+//! 2. shipped and hand-written spec files run deterministically at any
+//!    worker count;
+//! 3. spec files can reach configurations the shipped ones don't, like
+//!    N > 2 coexistence peers or model-topology axes.
 
 use augur_scenario::{
-    grid_to_toml, load_grid, parse_grid, parse_grid_at, presets, traces, SweepGrid, SweepRunner,
-    WorkloadSpec,
+    experiments_dir, load_grid, parse_grid, shipped_spec_path, traces, SweepRunner, WorkloadSpec,
 };
-use std::path::PathBuf;
-
-fn specs_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments/specs")
-}
-
-fn traces_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../experiments/traces")
-}
-
-fn assert_grid_eq(name: &str, a: &SweepGrid, b: &SweepGrid) {
-    assert_eq!(
-        format!("{a:#?}"),
-        format!("{b:#?}"),
-        "{name}: parsed grid differs from preset"
-    );
-}
+use augur_sim::{BitRate, Dur};
 
 #[test]
-fn presets_round_trip_through_written_spec_files() {
-    // Mirror the shipped layout — specs/ referencing ../traces/ — so the
-    // trace-replaying presets resolve their CSVs exactly as `sweep
-    // --spec experiments/specs/<name>.toml` would.
-    let dir = std::env::temp_dir().join("augur-spec-roundtrip");
-    let specs = dir.join("specs");
-    let trace_files = dir.join("traces");
-    std::fs::create_dir_all(&specs).unwrap();
-    std::fs::create_dir_all(&trace_files).unwrap();
-    for name in traces::NAMES {
-        let samples = traces::by_name(name).unwrap();
-        std::fs::write(
-            trace_files.join(format!("{name}.csv")),
-            traces::trace_to_csv(name, &samples),
-        )
-        .unwrap();
-    }
-    for name in presets::NAMES {
-        let grid = presets::by_name(name).unwrap();
-        let path = specs.join(format!("{name}.toml"));
-        std::fs::write(&path, grid_to_toml(&grid)).unwrap();
-        let parsed = load_grid(&path)
-            .unwrap_or_else(|e| panic!("{name}: written spec failed to parse: {e}"));
-        assert_grid_eq(name, &grid, &parsed);
-        // The run lists (coords, derived seeds) must line up too.
-        let a = grid.expand();
-        let b = parsed.expand();
-        assert_eq!(a.len(), b.len(), "{name}: run count differs");
-        for (ra, rb) in a.iter().zip(&b) {
-            assert_eq!(ra.seed, rb.seed, "{name}: seed differs at {}", ra.index);
-            assert_eq!(ra.point(), rb.point(), "{name}: coords differ");
-        }
-    }
-}
-
-#[test]
-fn trace_rate_kind_round_trips_byte_identically() {
-    // grid → TOML → grid → TOML must be byte-stable for the `trace`
-    // rate kind (file references survive the loaded-samples detour).
-    let grid = presets::by_name("replay-cellular").unwrap();
-    let toml1 = grid_to_toml(&grid);
-    let parsed = parse_grid_at(&toml1, Some(&specs_dir()))
-        .unwrap_or_else(|e| panic!("replay-cellular: {e}"));
-    assert_grid_eq("replay-cellular", &grid, &parsed);
-    let toml2 = grid_to_toml(&parsed);
-    assert_eq!(
-        toml1, toml2,
-        "trace rate kind must round-trip byte-for-byte"
-    );
-}
-
-#[test]
-fn shipped_trace_files_match_the_generators_exactly() {
-    let dir = traces_dir();
-    for name in traces::NAMES {
-        let path = dir.join(format!("{name}.csv"));
-        let shipped = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing shipped trace {} ({e}); regenerate with `sweep --export-traces \
-                 experiments/traces`",
-                path.display()
-            )
-        });
-        let canonical = traces::trace_to_csv(name, &traces::by_name(name).unwrap());
+fn shipped_trace_files_loop_at_their_documented_lengths() {
+    let dir = experiments_dir().join("traces");
+    // (stem, loop length, sample cadence, first rate)
+    let expected = [
+        (
+            "lte-fade",
+            Dur::from_secs(60),
+            Dur::from_millis(500),
+            4_000_000,
+        ),
+        (
+            "lte-scatter",
+            Dur::from_secs(45),
+            Dur::from_millis(250),
+            2_000_000,
+        ),
+    ];
+    for (stem, length, cadence, first_bps) in expected {
+        let path = dir.join(format!("{stem}.csv"));
+        let csv = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing shipped trace {} ({e})", path.display()));
+        let samples = traces::parse_trace_csv(&csv).unwrap_or_else(|e| panic!("{stem}: {e}"));
         assert_eq!(
-            shipped, canonical,
-            "{name}.csv drifted from its generator; regenerate with `sweep --export-traces \
-             experiments/traces`"
+            samples[0],
+            (Dur::ZERO, BitRate::from_bps(first_bps)),
+            "{stem}"
         );
-    }
-    // And nothing extra: every committed trace must be a known generator's.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let file = entry.unwrap().file_name().into_string().unwrap();
-        let stem = file.trim_end_matches(".csv");
+        assert_eq!(samples.last().unwrap().0, length, "{stem}: loop length");
         assert!(
-            traces::NAMES.contains(&stem),
-            "unexpected trace file {file}; add its generator to `traces::NAMES` or remove it"
+            samples
+                .iter()
+                .enumerate()
+                .all(|(i, (t, _))| *t == Dur::from_micros(cadence.as_micros() * i as u64)),
+            "{stem}: one sample every {cadence}"
         );
     }
+    // And nothing extra is shipped.
+    let mut stems: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    stems.sort();
+    assert_eq!(stems, ["lte-fade.csv", "lte-scatter.csv"]);
 }
 
 #[test]
 fn replay_spec_runs_deterministically_across_worker_counts() {
-    let mut grid = load_grid(&specs_dir().join("replay-cellular.toml")).unwrap();
-    grid.base.duration = augur_sim::Dur::from_secs(10);
+    let mut grid = load_grid(&shipped_spec_path("replay-cellular")).unwrap();
+    grid.set_duration(Dur::from_secs(10));
     let runs = grid.expand();
     assert_eq!(runs.len(), 12);
     let serial = SweepRunner::serial().run(&runs);
@@ -139,45 +84,16 @@ fn replay_spec_runs_deterministically_across_worker_counts() {
 }
 
 #[test]
-fn shipped_spec_files_match_the_presets_exactly() {
-    let dir = specs_dir();
-    for name in presets::NAMES {
-        let path = dir.join(format!("{name}.toml"));
-        let shipped = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing shipped spec {} ({e}); regenerate with `sweep --export-specs \
-                 experiments/specs`",
-                path.display()
-            )
-        });
-        let canonical = grid_to_toml(&presets::by_name(name).unwrap());
-        assert_eq!(
-            shipped, canonical,
-            "{name}.toml drifted from its preset; regenerate with `sweep --export-specs \
-             experiments/specs`"
-        );
-    }
-    // And nothing extra is shipped: every file must be a known preset's.
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let file = entry.unwrap().file_name().into_string().unwrap();
-        let stem = file.trim_end_matches(".toml");
-        assert!(
-            presets::NAMES.contains(&stem),
-            "unexpected spec file {file}; add its preset to `presets::NAMES` or remove it"
-        );
-    }
-}
-
-#[test]
 fn three_flow_coexist_spec_runs_deterministically() {
     // A configuration only spec files can express today: the primary
     // ISender against TWO AIMD peers (three flows on one bottleneck).
-    let toml = grid_to_toml(&presets::by_name("coexist-fairness").unwrap()).replace(
+    let shipped = std::fs::read_to_string(shipped_spec_path("coexist-fairness")).unwrap();
+    let toml = shipped.replace(
         "peers = [\n  { kind = \"isender\", alpha = 1.0 },\n]",
         "peers = [\n  { kind = \"aimd\", timeout_s = 8.0 },\n  { kind = \"aimd\", timeout_s = 8.0 },\n]",
     );
     let mut grid = parse_grid(&toml).unwrap();
-    grid.base.duration = augur_sim::Dur::from_secs(20);
+    grid.set_duration(Dur::from_secs(20));
     match &grid.base.sender {
         augur_scenario::SenderSpec::IsenderExact { .. } => {}
         other => panic!("unexpected sender {other:?}"),
@@ -210,7 +126,7 @@ fn three_flow_coexist_spec_runs_deterministically() {
 
 #[test]
 fn spec_files_can_sweep_model_topology_axes() {
-    // Axes the presets don't combine: link-rate × buffer-capacity over a
+    // Axes no shipped spec combines: link-rate × buffer-capacity over a
     // fast scripted workload, written as a spec file would be.
     let src = r#"
 [scenario]

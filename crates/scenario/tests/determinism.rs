@@ -167,7 +167,9 @@ fn coexist_sweep_is_byte_identical_across_workers() {
     // The multi-agent loop draws wake tie-breaks from the truth RNG;
     // those draws must stay inside the per-run seed stream, or worker
     // scheduling would leak into fairness numbers.
-    let grid = augur_scenario::presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
+    let mut grid = augur_scenario::load_shipped("coexist-vs-tcp").unwrap();
+    grid.set_duration(Dur::from_secs(20));
+    assert!(grid.set_replicates(2));
     let runs = grid.expand();
     let serial = SweepRunner::serial().run(&runs);
     let parallel = SweepRunner::with_workers(4).run(&runs);
@@ -195,7 +197,10 @@ fn graph_sweep_is_byte_identical_across_workers() {
     // Graph topologies add per-flow injection points and diverter-chain
     // routing on top of the multi-agent loop; none of it may observe
     // worker scheduling.
-    let grid = augur_scenario::presets::dumbbell_cross(Dur::from_secs(20), 2, 2_048);
+    let mut grid = augur_scenario::load_shipped("dumbbell-cross").unwrap();
+    grid.set_duration(Dur::from_secs(20));
+    assert!(grid.set_max_branches(2_048));
+    assert!(grid.set_replicates(2));
     let runs = grid.expand();
     let serial = SweepRunner::serial().run(&runs);
     let parallel = SweepRunner::with_workers(4).run(&runs);

@@ -10,14 +10,23 @@
 //!    are identical with and without it.
 
 use augur_obs::{to_jsonl, EventKind};
-use augur_scenario::{presets, ObserveSpec, SweepGrid, SweepRunner};
+use augur_scenario::{load_shipped, ObserveSpec, SweepGrid, SweepRunner};
 use augur_sim::Dur;
 
-/// The coexist-fairness grid with observability armed: the multi-agent
+/// The shipped coexist-vs-tcp grid, shortened to 20 s and `replicates`
+/// seeds per peer.
+fn coexist_vs_tcp(replicates: usize) -> SweepGrid {
+    let mut grid = load_shipped("coexist-vs-tcp").unwrap();
+    grid.set_duration(Dur::from_secs(20));
+    assert!(grid.set_replicates(replicates));
+    grid
+}
+
+/// The coexist-vs-tcp grid with observability armed: the multi-agent
 /// loop exercises every event source (wakes, fires, queue churn, drops,
 /// belief updates against a TCP peer).
 fn observed_grid() -> SweepGrid {
-    let mut grid = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
+    let mut grid = coexist_vs_tcp(2);
     grid.base.observe = ObserveSpec {
         trace_events: true,
         snapshot_every: Some(Dur::from_secs(5)),
@@ -72,7 +81,7 @@ fn event_logs_carry_every_event_family() {
 
 #[test]
 fn observing_leaves_report_and_counters_byte_identical() {
-    let plain_grid = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000);
+    let plain_grid = coexist_vs_tcp(2);
     let plain_runs = plain_grid.expand();
     let observed_runs = observed_grid().expand();
     let plain = SweepRunner::serial().run(&plain_runs);
@@ -97,7 +106,7 @@ fn observing_leaves_report_and_counters_byte_identical() {
 
 #[test]
 fn progress_ticker_leaves_report_bytes_identical() {
-    let runs = presets::coexist_vs_tcp(Dur::from_secs(20), 2, 50_000).expand();
+    let runs = coexist_vs_tcp(2).expand();
     let quiet = SweepRunner::serial().run(&runs);
     let ticking = SweepRunner::serial().progress().run(&runs);
     assert_eq!(
@@ -109,7 +118,7 @@ fn progress_ticker_leaves_report_bytes_identical() {
 
 #[test]
 fn unobserved_runs_emit_no_events() {
-    let runs = presets::coexist_vs_tcp(Dur::from_secs(20), 1, 50_000).expand();
+    let runs = coexist_vs_tcp(1).expand();
     let (_, logs) = SweepRunner::serial().run_observed(&runs);
     assert!(
         logs.iter().all(Vec::is_empty),

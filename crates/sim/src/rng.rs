@@ -2,7 +2,8 @@
 //!
 //! Every run of a simulation with the same seed produces the same event
 //! sequence. The inference engine never draws randomness for hypotheses —
-//! nondeterminism there is enumerated, not sampled (DESIGN.md §4.2) — so
+//! nondeterminism there is enumerated, not sampled (see
+//! `augur_elements::choice`) — so
 //! `SimRng` is used only by ground-truth drivers, workload generators, and
 //! the particle filter's resampling step.
 

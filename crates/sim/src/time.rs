@@ -3,8 +3,8 @@
 //! All simulation time is integer **microseconds** since the start of the
 //! run. Integer time is load-bearing for the whole system: belief states in
 //! `augur-inference` are compared and hashed for *exact* compaction
-//! (DESIGN.md §4.1), and ground truth and hypotheses must predict the same
-//! instants bit-for-bit. Floating-point time would break both.
+//! (see the crate doc's design rules), and ground truth and hypotheses
+//! must predict the same instants bit-for-bit. Floating-point time would break both.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
