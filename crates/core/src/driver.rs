@@ -1,14 +1,16 @@
 //! The flow driver: one heap-scheduled event loop for every closed-loop
 //! harness in the workspace, from the single-sender fig3 run (N=1) to
-//! many-flow scaling sweeps (N=10 000).
+//! many-flow scaling sweeps (N=10 000). TCP runs on it too: a
+//! single-flow TCP download (Figure 1) is one TCP agent over a one-flow
+//! ground truth, the same agent that shares bottlenecks as a
+//! coexistence or many-flow peer.
 //!
 //! [`FlowDriver`] owns the co-simulation of N [`SenderAgent`]s against a
 //! sampled ground-truth [`Network`]: per-flow slots (agent, pending
-//! acknowledgments, trace, next wake) plus a wake schedule. The earlier
-//! loops ([`crate::run_multi_agent`], [`crate::run_closed_loop`]) are
-//! thin wrappers over it and produce byte-identical traces — the driver
-//! replays the exact same event, sampling, and tie-break sequence, only
-//! the bookkeeping around it changed from O(N) scans to an indexed heap.
+//! acknowledgments, trace, next wake) plus a wake schedule.
+//! [`crate::run_multi_agent`] and [`crate::run_closed_loop`] are thin
+//! wrappers over it; they differ only in [`FlowDriver::over`] versus
+//! [`FlowDriver::closed_loop`] accounting (see [`FlowDriver`]).
 //!
 //! # The wake-heap contract
 //!
@@ -16,7 +18,7 @@
 //! guarantees, unchanged from the sequential loops:
 //!
 //! * **Timer wakes.** After `on_wake` returns
-//!   [`WakeOutcome::next_wake`], the agent sleeps until that instant —
+//!   [`crate::WakeOutcome::next_wake`], the agent sleeps until that instant —
 //!   floored to strictly after the current wake (`now + 1µs`), so an
 //!   agent can never busy-loop the driver by re-requesting `now`.
 //! * **Acknowledgment wakes.** A delivery for flow `i` at time `d`
@@ -49,7 +51,7 @@
 //! start at t=0, where every flow wakes at once).
 
 use crate::experiment::{GroundTruth, RunTrace, WakeRecord};
-use crate::isender::{SenderAgent, WakeOutcome};
+use crate::isender::SenderAgent;
 use crate::multi::MultiFlowTruth;
 use augur_elements::{Network, NodeId};
 use augur_inference::{BeliefError, Observation};
@@ -138,18 +140,21 @@ impl From<BeliefError> for DriverError {
     }
 }
 
-/// How deliveries and drops map onto per-flow traces.
+/// How the driver stamps injections, attributes deliveries and treats
+/// a timer landing on the horizon. Drops follow one rule for both (see
+/// `harvest`).
 #[derive(Debug, Clone, Copy)]
 enum Routing {
     /// Multi-agent wiring: agent `i` transmits as `FlowId(i)` (packets
     /// are re-stamped on injection), deliveries route to slot
-    /// `flow.0`, drops route to their own flow's trace, foreign flows
-    /// belong to nobody.
+    /// `flow.0`, foreign deliveries belong to nobody, and every wake at
+    /// or before the horizon fires.
     PerFlow,
     /// Single-sender accounting (the classic closed loop): the agent
     /// keeps its own wire flow, acknowledgments are its deliveries at
-    /// its receiver, cross-traffic deliveries and *all* drops are
-    /// logged to the one trace for diagnostics.
+    /// its receiver, cross-traffic deliveries are logged to the one
+    /// trace for diagnostics, and a bare timer on the horizon stays
+    /// silent.
     ClosedLoop,
 }
 
@@ -256,275 +261,70 @@ impl WakeHeap {
     }
 }
 
-/// Uniform dispatch over a driver's agents — lets one `drive` loop
-/// serve both the `&mut [&mut dyn SenderAgent]` table and a single
-/// statically-typed sender without boxing it.
-trait AgentTable {
-    fn len(&self) -> usize;
-    fn own_flow(&self, i: usize) -> FlowId;
-    fn on_wake(
-        &mut self,
-        i: usize,
-        now: Time,
-        acks: &[Observation],
-    ) -> Result<WakeOutcome, BeliefError>;
-    fn population(&self, i: usize) -> usize;
-    fn effective_population(&self, i: usize) -> f64;
-}
-
-impl AgentTable for [&mut dyn SenderAgent] {
-    fn len(&self) -> usize {
-        <[_]>::len(self)
-    }
-    fn own_flow(&self, i: usize) -> FlowId {
-        self[i].own_flow()
-    }
-    fn on_wake(
-        &mut self,
-        i: usize,
-        now: Time,
-        acks: &[Observation],
-    ) -> Result<WakeOutcome, BeliefError> {
-        self[i].on_wake(now, acks)
-    }
-    fn population(&self, i: usize) -> usize {
-        self[i].population()
-    }
-    fn effective_population(&self, i: usize) -> f64 {
-        self[i].effective_population()
-    }
-}
-
-/// The N=1 table: one sender, no dynamic dispatch.
-struct Single<'a, S: SenderAgent + ?Sized>(&'a mut S);
-
-impl<S: SenderAgent + ?Sized> AgentTable for Single<'_, S> {
-    fn len(&self) -> usize {
-        1
-    }
-    fn own_flow(&self, _i: usize) -> FlowId {
-        self.0.own_flow()
-    }
-    fn on_wake(
-        &mut self,
-        _i: usize,
-        now: Time,
-        acks: &[Observation],
-    ) -> Result<WakeOutcome, BeliefError> {
-        self.0.on_wake(now, acks)
-    }
-    fn population(&self, _i: usize) -> usize {
-        self.0.population()
-    }
-    fn effective_population(&self, _i: usize) -> f64 {
-        self.0.effective_population()
-    }
-}
-
-/// The heap-scheduled co-simulation loop, generic over agent storage.
-fn drive<A: AgentTable + ?Sized>(
-    net: &mut Network,
-    rng: &mut SimRng,
-    flows: &[FlowEndpoint],
+/// The per-flow state of one drive, and how deliveries map onto it.
+struct Slots {
     routing: Routing,
-    agents: &mut A,
-    t_end: Time,
-) -> Result<Vec<RunTrace>, BeliefError> {
-    let n = agents.len();
-    debug_assert!(n >= 1 && n <= flows.len());
-    let own0 = agents.own_flow(0);
-    let mut traces: Vec<RunTrace> = vec![RunTrace::default(); n];
-    let mut pending: Vec<Vec<Observation>> = vec![Vec::new(); n];
-    let start = net.now();
-    let mut heap = WakeHeap::new(n, start);
+    /// The closed loop's own wire flow and receiver (flow 0's).
+    own: (FlowId, NodeId),
+    traces: Vec<RunTrace>,
+    /// Acknowledgments delivered since each flow's last wake.
+    pending: Vec<Vec<Observation>>,
+    heap: WakeHeap,
+}
 
-    // Let the ground truth process its own events at the start instant
-    // (pinger emissions, backlog service starts) before any agent's
-    // first injection — the beliefs do the same inside their first
-    // `advance`, and both sides must agree on same-instant ordering.
-    net.run_until_sampled(start, rng);
-    harvest(
-        net,
-        flows,
-        routing,
-        own0,
-        &mut traces,
-        &mut pending,
-        &mut heap,
-    );
-
-    loop {
-        if heap.tied.is_empty() {
-            // Advance ground truth toward the earliest wake (capped at
-            // the horizon) event by event; any delivery on the way
-            // pulls its flow's wake forward, possibly before every
-            // scheduled timer.
-            loop {
-                let target = heap.peek_valid().min(t_end);
-                match net.next_event_time() {
-                    Some(te) if te <= target => {
-                        net.run_until_sampled(te, rng);
-                        harvest(
-                            net,
-                            flows,
-                            routing,
-                            own0,
-                            &mut traces,
-                            &mut pending,
-                            &mut heap,
-                        );
-                        if te >= target {
-                            break;
-                        }
-                    }
-                    _ => {
-                        net.run_until_sampled(target, rng);
-                        harvest(
-                            net,
-                            flows,
-                            routing,
-                            own0,
-                            &mut traces,
-                            &mut pending,
-                            &mut heap,
-                        );
-                        break;
-                    }
-                }
-            }
-            let t_wake = heap.peek_valid();
-            if t_wake > t_end {
-                break;
-            }
-            // Closed-loop accounting never fires a bare timer exactly at
-            // the horizon: a wake at `t_end` happens only at the start
-            // instant or when an acknowledgment pulled it there (the
-            // multi-flow loop, by contrast, dispatches every wake with
-            // `t ≤ t_end`).
-            if matches!(routing, Routing::ClosedLoop)
-                && t_wake == t_end
-                && t_wake > start
-                && pending[0].is_empty()
-            {
-                break;
-            }
-            heap.begin_instant(t_wake);
-        }
-
-        let t_wake = heap.t_active.expect("an instant is open");
-        let i = heap.draw_tied(rng);
-        perf::count_flow_wake();
-        let acks = std::mem::take(&mut pending[i]);
-        // Stamp the dispatched flow so belief-engine events emitted from
-        // inside `on_wake` carry the right attribution.
-        augur_obs::set_flow(FlowId(i as u16));
-        let outcome = agents.on_wake(i, t_wake, &acks)?;
-        augur_obs::emit(
-            t_wake,
-            augur_obs::EventKind::Wake {
-                flow: FlowId(i as u16),
-                acks: acks.len(),
-                sent: outcome.sent.len(),
-            },
-        );
-        traces[i].wakes.push(WakeRecord {
-            at: t_wake,
-            acks: acks.len(),
-            sent: outcome.sent.len(),
-            branches: agents.population(i),
-            effective: agents.effective_population(i),
-        });
-        for pkt in &outcome.sent {
-            // The loop owns wire identity in multi-agent runs: agent
-            // `i` transmits as `FlowId(i)` no matter what it believes
-            // its flow is. The single-sender loop keeps the agent's own
-            // stamp, exactly as the classic closed loop injected `*pkt`.
-            let pkt = match routing {
-                Routing::PerFlow => Packet::new(FlowId(i as u16), pkt.seq, pkt.size, t_wake),
-                Routing::ClosedLoop => *pkt,
-            };
-            traces[i].sends.push((pkt.seq, t_wake));
-            net.inject(flows[i].entry, pkt);
-            // Injection may stop at a stochastic element reached
-            // synchronously; resolve by sampling.
-            net.run_until_sampled(t_wake, rng);
-        }
-        // Schedule the next timer first; instant deliveries harvested
-        // below may legitimately pull any wake (including agent i's
-        // own) back to this instant.
-        heap.set_wake(i, outcome.next_wake.max(t_wake + Dur::from_micros(1)));
-        harvest(
-            net,
-            flows,
+impl Slots {
+    /// Drain ground-truth logs into per-flow traces and pending-ack
+    /// queues; a delivery pulls its flow's wake forward to the delivery
+    /// instant.
+    fn harvest(&mut self, net: &mut Network) {
+        let Slots {
             routing,
-            own0,
-            &mut traces,
-            &mut pending,
-            &mut heap,
-        );
-    }
-
-    // Tail accounting: the advance loop's `min(wake, t_end)` cap ran
-    // the ground truth to exactly `t_end` and harvested the final
-    // deliveries before the loop broke.
-    debug_assert!(net.now() == t_end);
-    Ok(traces)
-}
-
-/// Drain ground-truth logs into per-flow traces and pending-ack queues;
-/// a delivery pulls its flow's wake forward to the delivery instant.
-fn harvest(
-    net: &mut Network,
-    flows: &[FlowEndpoint],
-    routing: Routing,
-    own0: FlowId,
-    traces: &mut [RunTrace],
-    pending: &mut [Vec<Observation>],
-    heap: &mut WakeHeap,
-) {
-    let n = traces.len();
-    for (node, d) in net.take_deliveries() {
-        let k = match routing {
-            Routing::PerFlow => {
-                let k = d.packet.flow.0 as usize;
-                if k >= n {
-                    continue; // backlog / foreign flows belong to nobody
-                }
-                k
-            }
-            Routing::ClosedLoop => {
-                if d.packet.flow == own0 && node == flows[0].rx {
-                    0
-                } else {
-                    if d.packet.flow == FlowId::CROSS {
-                        traces[0].cross_deliveries.push((
-                            d.packet.seq,
-                            d.at,
-                            d.packet.size.as_u64(),
-                        ));
+            own: (own0, rx0),
+            traces,
+            pending,
+            heap,
+        } = self;
+        let n = traces.len();
+        for (node, d) in net.take_deliveries() {
+            let k = match routing {
+                Routing::PerFlow => {
+                    let k = d.packet.flow.0 as usize;
+                    if k >= n {
+                        continue; // backlog / foreign flows belong to nobody
                     }
-                    continue;
+                    k
                 }
-            }
-        };
-        let obs = Observation {
-            seq: d.packet.seq,
-            at: d.at,
-        };
-        traces[k].acks.push(obs);
-        traces[k].delivered_bits += d.packet.size.as_u64();
-        pending[k].push(obs);
-        heap.pull_wake(k, d.at);
-    }
-    for drop in net.take_drops() {
-        match routing {
-            Routing::PerFlow => {
-                let k = drop.packet.flow.0 as usize;
-                if k < n {
-                    traces[k].drops.push(drop);
+                Routing::ClosedLoop => {
+                    if d.packet.flow == *own0 && node == *rx0 {
+                        0
+                    } else {
+                        if d.packet.flow == FlowId::CROSS {
+                            traces[0].cross_deliveries.push((
+                                d.packet.seq,
+                                d.at,
+                                d.packet.size.as_u64(),
+                            ));
+                        }
+                        continue;
+                    }
                 }
-            }
-            Routing::ClosedLoop => traces[0].drops.push(drop),
+            };
+            let obs = Observation {
+                seq: d.packet.seq,
+                at: d.at,
+            };
+            traces[k].acks.push(obs);
+            traces[k].delivered_bits += d.packet.size.as_u64();
+            pending[k].push(obs);
+            heap.pull_wake(k, d.at);
+        }
+        // Drops follow one rule for both routings: a driven flow's drop
+        // goes to its own trace, every other drop (cross traffic, backlog)
+        // to trace 0 — the closed loop's "all drops" log, and the overflow
+        // count of a lone sender sharing its path with cross traffic.
+        for drop in net.take_drops() {
+            let k = drop.packet.flow.0 as usize;
+            traces[if k < n { k } else { 0 }].drops.push(drop);
         }
     }
 }
@@ -532,7 +332,7 @@ fn harvest(
 /// A borrowed view of one ground truth, ready to drive agents to a
 /// horizon. Construct with [`FlowDriver::over`] (multi-flow) or
 /// [`FlowDriver::closed_loop`] (single sender), then call
-/// [`FlowDriver::run`] or [`FlowDriver::run_single`].
+/// [`FlowDriver::run`].
 ///
 /// See the [module docs](self) for the wake-heap contract agents may
 /// rely on.
@@ -584,26 +384,122 @@ impl<'a> FlowDriver<'a> {
                 flows: self.flows.len(),
             });
         }
-        drive(self.net, self.rng, &self.flows, self.routing, agents, t_end)
-            .map_err(DriverError::from)
-    }
+        let FlowDriver {
+            net,
+            rng,
+            flows,
+            routing,
+        } = self;
+        let n = agents.len();
+        let start = net.now();
+        let mut slots = Slots {
+            routing,
+            own: (agents[0].own_flow(), flows[0].rx),
+            traces: vec![RunTrace::default(); n],
+            pending: vec![Vec::new(); n],
+            heap: WakeHeap::new(n, start),
+        };
 
-    /// Run a single statically-typed sender until `t_end` — the N=1
-    /// path [`crate::run_closed_loop`] wraps.
-    pub fn run_single<S: SenderAgent + ?Sized>(
-        self,
-        sender: &mut S,
-        t_end: Time,
-    ) -> Result<RunTrace, BeliefError> {
-        debug_assert!(!self.flows.is_empty());
-        let mut traces = drive(
-            self.net,
-            self.rng,
-            &self.flows,
-            self.routing,
-            &mut Single(sender),
-            t_end,
-        )?;
-        Ok(traces.swap_remove(0))
+        // Let the ground truth process its own events at the start instant
+        // (pinger emissions, backlog service starts) before any agent's
+        // first injection — the beliefs do the same inside their first
+        // `advance`, and both sides must agree on same-instant ordering.
+        net.run_until_sampled(start, rng);
+        slots.harvest(net);
+
+        loop {
+            if slots.heap.tied.is_empty() {
+                // Advance ground truth toward the earliest wake (capped at
+                // the horizon) event by event; any delivery on the way
+                // pulls its flow's wake forward, possibly before every
+                // scheduled timer.
+                loop {
+                    let target = slots.heap.peek_valid().min(t_end);
+                    match net.next_event_time() {
+                        Some(te) if te <= target => {
+                            net.run_until_sampled(te, rng);
+                            slots.harvest(net);
+                            if te >= target {
+                                break;
+                            }
+                        }
+                        _ => {
+                            net.run_until_sampled(target, rng);
+                            slots.harvest(net);
+                            break;
+                        }
+                    }
+                }
+                let t_wake = slots.heap.peek_valid();
+                if t_wake > t_end {
+                    break;
+                }
+                // Closed-loop accounting never fires a bare timer exactly at
+                // the horizon: a wake at `t_end` happens only at the start
+                // instant or when an acknowledgment pulled it there (the
+                // multi-flow loop, by contrast, dispatches every wake with
+                // `t ≤ t_end`).
+                if matches!(routing, Routing::ClosedLoop)
+                    && t_wake == t_end
+                    && t_wake > start
+                    && slots.pending[0].is_empty()
+                {
+                    break;
+                }
+                slots.heap.begin_instant(t_wake);
+            }
+
+            let t_wake = slots.heap.t_active.expect("an instant is open");
+            let i = slots.heap.draw_tied(rng);
+            perf::count_flow_wake();
+            let acks = std::mem::take(&mut slots.pending[i]);
+            // Stamp the dispatched flow so belief-engine events emitted from
+            // inside `on_wake` carry the right attribution.
+            augur_obs::set_flow(FlowId(i as u16));
+            let outcome = agents[i].on_wake(t_wake, &acks)?;
+            augur_obs::emit(
+                t_wake,
+                augur_obs::EventKind::Wake {
+                    flow: FlowId(i as u16),
+                    acks: acks.len(),
+                    sent: outcome.sent.len(),
+                },
+            );
+            slots.traces[i].wakes.push(WakeRecord {
+                at: t_wake,
+                acks: acks.len(),
+                sent: outcome.sent.len(),
+                branches: agents[i].population(),
+                effective: agents[i].effective_population(),
+            });
+            for pkt in &outcome.sent {
+                // The loop owns wire identity in multi-agent runs: agent
+                // `i` transmits as `FlowId(i)` no matter what it believes
+                // its flow is. The single-sender loop keeps the agent's own
+                // stamp, exactly as the classic closed loop injected `*pkt`.
+                let pkt = match routing {
+                    Routing::PerFlow => Packet::new(FlowId(i as u16), pkt.seq, pkt.size, t_wake),
+                    Routing::ClosedLoop => *pkt,
+                };
+                slots.traces[i].sends.push((pkt.seq, t_wake));
+                net.inject(flows[i].entry, pkt);
+                // Injection may stop at a stochastic element reached
+                // synchronously; resolve by sampling.
+                net.run_until_sampled(t_wake, rng);
+            }
+            // Schedule the next timer first; instant deliveries harvested
+            // below may legitimately pull any wake (including agent i's
+            // own) back to this instant.
+            slots
+                .heap
+                .set_wake(i, outcome.next_wake.max(t_wake + Dur::from_micros(1)));
+            slots.harvest(net);
+        }
+
+        // Tail accounting: the advance loop's `min(wake, t_end)` cap ran
+        // the ground truth to exactly `t_end` and harvested the final
+        // deliveries before the loop broke.
+        debug_assert!(net.now() == t_end);
+        Ok(slots.traces)
     }
 }

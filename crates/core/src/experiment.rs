@@ -8,7 +8,7 @@
 //! modeling are future work in the paper and here); the sender wakes on
 //! each acknowledgment and on its own timer.
 
-use crate::driver::FlowDriver;
+use crate::driver::{DriverError, FlowDriver};
 use crate::isender::SenderAgent;
 use augur_elements::{DropRecord, Network, NodeId};
 use augur_inference::{BeliefError, Observation};
@@ -91,15 +91,21 @@ pub struct GroundTruth {
 /// [`crate::ParticleSender`], …) against ground truth until `t_end`. The
 /// sender makes its first decision at time zero.
 ///
-/// Thin wrapper over the N=1 path of [`FlowDriver`] (see its module
-/// docs for the wake contract): the sender wakes on its own timer and
-/// at each acknowledgment, its packets are injected at `truth.entry`
-/// with their own flow stamp, and cross-traffic deliveries plus all
+/// Thin wrapper over [`FlowDriver::closed_loop`] (see the driver docs
+/// for the wake contract): the sender wakes on its own timer and at
+/// each acknowledgment, its packets are injected at `truth.entry` with
+/// their own flow stamp, and cross-traffic deliveries plus all
 /// ground-truth drops are logged to the one trace.
-pub fn run_closed_loop<S: SenderAgent + ?Sized>(
+pub fn run_closed_loop<S: SenderAgent>(
     truth: &mut GroundTruth,
     sender: &mut S,
     t_end: Time,
 ) -> Result<RunTrace, BeliefError> {
-    FlowDriver::closed_loop(truth).run_single(sender, t_end)
+    match FlowDriver::closed_loop(truth).run(&mut [sender as &mut dyn SenderAgent], t_end) {
+        Ok(mut traces) => Ok(traces.swap_remove(0)),
+        Err(DriverError::Belief(e)) => Err(e),
+        Err(e @ DriverError::AgentCount { .. }) => {
+            unreachable!("one sender over a one-flow closed loop: {e}")
+        }
+    }
 }

@@ -1235,9 +1235,19 @@ fn decode_workload(t: &Table, at: (u32, u32)) -> Result<WorkloadSpec, ConfigErro
     let kind = expect_str(&kind_e.value, "kind")?;
     let workload = match kind {
         "closed-loop" => WorkloadSpec::ClosedLoop,
-        "scripted-ping" => WorkloadSpec::ScriptedPing {
-            interval: dur_s(&d.req("interval_s", at)?.value, "interval_s")?,
-        },
+        "scripted-ping" => {
+            let interval_e = d.req("interval_s", at)?;
+            let interval = dur_s(&interval_e.value, "interval_s")?;
+            if interval == Dur::ZERO {
+                return err(
+                    interval_e.value.line,
+                    interval_e.value.col,
+                    "`interval_s` must be > 0 seconds (the scripted workload transmits once per \
+                     interval)",
+                );
+            }
+            WorkloadSpec::ScriptedPing { interval }
+        }
         "coexist" => {
             let peers_e = d.req("peers", at)?;
             let peers = map_array(peers_e, decode_peer)?;
@@ -1588,6 +1598,60 @@ pub fn parse_grid_at(src: &str, base: Option<&Path>) -> Result<SweepGrid, Config
             }
         }
         TopologySpec::Model(_) => {}
+    }
+    // Workloads that need a particular sender: the scripted workload
+    // measures the sender's belief, and a coexist primary carries the
+    // coexistence prior, which only the exact engine holds.
+    let (fits, why): (fn(&SenderSpec) -> bool, &str) = match &workload {
+        WorkloadSpec::ScriptedPing { .. } => (
+            |s| {
+                matches!(
+                    s,
+                    SenderSpec::IsenderExact { .. } | SenderSpec::IsenderParticle { .. }
+                )
+            },
+            "the scripted-ping workload measures a belief (isender-exact / isender-particle)",
+        ),
+        WorkloadSpec::Coexist(_) => (
+            |s| matches!(s, SenderSpec::IsenderExact { .. }),
+            "a coexist primary carries the coexistence prior (isender-exact only)",
+        ),
+        _ => (|_| true, ""),
+    };
+    if !fits(&sender) {
+        return err(
+            sender_e.value.line,
+            sender_e.value.col,
+            format!("sender kind `{}` cannot run here: {why}", sender.label()),
+        );
+    }
+    for (axis, t) in axes.iter().zip(axis_tables(&root)) {
+        if let Axis::Sender(senders) = axis {
+            if let Some(bad) = senders.iter().find(|s| !fits(s)) {
+                return err(
+                    t.line,
+                    t.col,
+                    format!("sender axis value `{}` cannot run here: {why}", bad.label()),
+                );
+            }
+        }
+    }
+    if matches!(workload, WorkloadSpec::Coexist(_))
+        && topology.packet_size() != Bits::from_bytes(1_500)
+    {
+        let topo_t = expect_table(&topo_e.value, "topology")?;
+        let at = topo_t
+            .get("packet_bits")
+            .map_or((topo_t.line, topo_t.col), |e| (e.value.line, e.value.col));
+        return err(
+            at.0,
+            at.1,
+            format!(
+                "a coexist workload needs `packet_bits = 12000` (the coexistence prior grids \
+                 buffer fullness in 1500-byte packets), got {}",
+                topology.packet_size().as_u64()
+            ),
+        );
     }
     for (axis, t) in axes.iter().zip(axis_tables(&root)) {
         // Axes that tweak a knob only one topology family has.
@@ -2378,5 +2442,122 @@ mod tests {
             e.line, appended_header_line,
             "error should point at the second [[axis]] header, got: {e}"
         );
+    }
+
+    /// The 1-based line of the first occurrence of `needle` in `src`.
+    fn line_of(src: &str, needle: &str) -> u32 {
+        let at = src
+            .find(needle)
+            .unwrap_or_else(|| panic!("{needle:?} not in spec"));
+        src[..at].matches('\n').count() as u32 + 1
+    }
+
+    /// Swap smoke's closed-loop workload for `workload`.
+    fn smoke_with_workload(workload: &str) -> String {
+        shipped("smoke").replace("kind = \"closed-loop\"", workload)
+    }
+
+    const SMOKE_SENDER: &str = "[sender]\nkind = \"isender-exact\"\nalpha = 1.0\n\
+                                latency_penalty = 0.0\nmax_branches = 50000\n";
+
+    #[test]
+    fn scripted_ping_zero_interval_is_rejected() {
+        let toml = smoke_with_workload("kind = \"scripted-ping\"\ninterval_s = 0.0");
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message.contains("`interval_s` must be > 0 seconds"),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "interval_s"), "got: {e}");
+    }
+
+    #[test]
+    fn scripted_ping_over_a_tcp_sender_is_rejected() {
+        let scripted = smoke_with_workload("kind = \"scripted-ping\"\ninterval_s = 1.0");
+        // A tcp value on the sender axis points at that axis...
+        let toml = scripted.replace(
+            "{ kind = \"isender-particle\", alpha = 1.0, latency_penalty = 0.0, n_particles = 64 }",
+            "{ kind = \"tcp-cubic\", max_window = 64 }",
+        );
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message.contains(
+                "sender axis value `tcp-cubic` cannot run here: the scripted-ping workload \
+                 measures a belief"
+            ),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "[[axis]]"), "got: {e}");
+        // ...and a tcp base sender at the [sender] table.
+        let toml = scripted.replace(
+            SMOKE_SENDER,
+            "[sender]\nkind = \"tcp-reno\"\nmax_window = 64\n",
+        );
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message.contains("sender kind `tcp-reno` cannot run here"),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "[sender]"), "got: {e}");
+    }
+
+    const AIMD_PEER: &str = "kind = \"coexist\"\npeers = [{ kind = \"aimd\", timeout_s = 8.0 }]";
+
+    #[test]
+    fn coexist_model_particle_primary_is_rejected() {
+        // smoke's sender axis carries an isender-particle point.
+        let toml = smoke_with_workload(AIMD_PEER);
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message.contains(
+                "sender axis value `isender-particle` cannot run here: a coexist primary \
+                 carries the coexistence prior"
+            ),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "[[axis]]"), "got: {e}");
+    }
+
+    #[test]
+    fn coexist_model_tcp_primary_is_rejected() {
+        let toml = smoke_with_workload(AIMD_PEER).replace(
+            SMOKE_SENDER,
+            "[sender]\nkind = \"tcp-reno\"\nmax_window = 64\n",
+        );
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message.contains(
+                "sender kind `tcp-reno` cannot run here: a coexist primary carries the \
+                 coexistence prior"
+            ),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "[sender]"), "got: {e}");
+    }
+
+    #[test]
+    fn coexist_model_packet_size_must_match_the_coexistence_prior() {
+        let toml = shipped("coexist-fairness").replace("packet_bits = 12000", "packet_bits = 8000");
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message
+                .contains("a coexist workload needs `packet_bits = 12000`")
+                && e.message.contains("got 8000"),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "packet_bits"), "got: {e}");
+    }
+
+    #[test]
+    fn coexist_graph_packet_size_must_match_the_coexistence_prior() {
+        let toml = shipped("parking-lot").replace("packet_bits = 12000", "packet_bits = 16000");
+        let e = parse_grid(&toml).unwrap_err();
+        assert!(
+            e.message
+                .contains("a coexist workload needs `packet_bits = 12000`")
+                && e.message.contains("got 16000"),
+            "got: {e}"
+        );
+        assert_eq!(e.line, line_of(&toml, "packet_bits"), "got: {e}");
     }
 }

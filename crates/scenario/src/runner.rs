@@ -10,10 +10,7 @@
 
 use crate::grid::RunSpec;
 use crate::report::{RunStatus, RunSummary, SweepReport};
-use crate::spec::{
-    CoexistSpec, ManyFlowSpec, PeerSpec, PriorSpec, ScenarioSpec, SenderSpec, TopologySpec,
-    WorkloadSpec,
-};
+use crate::spec::{PeerSpec, PriorSpec, ScenarioSpec, SenderSpec, TopologySpec, WorkloadSpec};
 use augur_core::{
     build_many_flow_bottleneck, build_shared_bottleneck, coexist_belief, jain_index,
     run_closed_loop, run_multi_agent, AimdSender, DiscountedThroughput, DriverError, FlowEndpoint,
@@ -21,7 +18,8 @@ use augur_core::{
     RunTrace, SenderAgent, Utility, WakeOutcome,
 };
 use augur_elements::{
-    build_cellular_with_buffer, DropReason, ModelParams, FIG2_ENTRY, FIG2_LOSS, FIG2_RX_SELF,
+    build_cellular_with_buffer, DropReason, DropRecord, ModelParams, FIG2_ENTRY, FIG2_LOSS,
+    FIG2_RX_SELF,
 };
 use augur_inference::{
     Belief, BeliefConfig, BeliefError, Hypothesis, Observation, ParticleConfig, ParticleFilter,
@@ -369,16 +367,13 @@ pub fn execute_run_observed_in(
         | (WorkloadSpec::ClosedLoop, SenderSpec::IsenderParticle { .. }) => {
             closed_loop_isender(run, priors)
         }
-        (WorkloadSpec::ClosedLoop, SenderSpec::TcpReno { .. })
-        | (WorkloadSpec::ClosedLoop, SenderSpec::TcpCubic { .. }) => {
-            let (summary, trace) = closed_loop_tcp(run);
-            (summary, RunArtifact::Tcp(trace))
-        }
         (WorkloadSpec::ScriptedPing { interval }, _) => {
             (scripted_ping(run, *interval, priors), RunArtifact::None)
         }
-        (WorkloadSpec::Coexist(cx), _) => coexist_run(run, cx),
-        (WorkloadSpec::ManyFlows(mf), _) => many_flow_run(run, mf),
+        (WorkloadSpec::ClosedLoop, SenderSpec::TcpReno { .. })
+        | (WorkloadSpec::ClosedLoop, SenderSpec::TcpCubic { .. })
+        | (WorkloadSpec::Coexist(_), _)
+        | (WorkloadSpec::ManyFlows(_), _) => flow_driver_run(run),
     };
     summary.work = perf::snapshot().since(&counters_before);
     // Scripted runs meter their own wall clock (belief updates only);
@@ -594,72 +589,8 @@ fn summarize_closed_loop(
     summary.goodput_bps = trace.acks.len() as f64 * pkt_bits / dur_s;
     let cross_bits: u64 = trace.cross_deliveries.iter().map(|(_, _, b)| *b).sum();
     summary.utility = summary.goodput_bps + alpha * cross_bits as f64 / dur_s;
-    summary.overflow_drops = trace
-        .drops
-        .iter()
-        .filter(|d| d.reason == DropReason::BufferFull)
-        .count() as u64;
-    let send_at: BTreeMap<u64, Time> = trace.sends.iter().map(|&(seq, t)| (seq, t)).collect();
-    // A retransmitted seq keeps only its latest send time; an ACK of the
-    // original copy can predate that retransmit, so such pairs carry no
-    // usable delay and are skipped.
-    let mut delays: Vec<f64> = trace
-        .acks
-        .iter()
-        .filter_map(|o| {
-            send_at
-                .get(&o.seq)
-                .filter(|&&t| t <= o.at)
-                .map(|t| o.at.since(*t).as_secs_f64())
-        })
-        .collect();
-    delays.sort_by(|a, b| a.total_cmp(b));
-    set_delay_percentiles(summary, &delays);
-}
-
-/// The spec's TCP flavor as a window cap and congestion controller.
-fn tcp_flavor(spec: &ScenarioSpec) -> (u64, Box<dyn augur_tcp::CongestionControl>) {
-    match &spec.sender {
-        SenderSpec::TcpReno { max_window } => (*max_window, Box::new(Reno::default())),
-        SenderSpec::TcpCubic { max_window } => (*max_window, Box::new(Cubic::default())),
-        other => unreachable!("tcp run over {}", other.label()),
-    }
-}
-
-fn closed_loop_tcp(run: &RunSpec) -> (RunSummary, TcpTrace) {
-    use augur_tcp::TcpRunner;
-    let spec = &run.spec;
-    let t_end = Time::ZERO + spec.duration;
-    let (max_window, cc) = tcp_flavor(spec);
-    let cfg = TcpConfig {
-        packet_size: spec.topology.packet_size(),
-        max_window,
-        ..TcpConfig::default()
-    };
-    let seed = SimRng::derive_seed(run.seed, STREAM_TRUTH);
-    let trace = match &spec.topology {
-        TopologySpec::Model(_) => {
-            let mut runner = TcpRunner::over_model(spec.build_truth(), cfg, seed, cc);
-            runner.run(t_end)
-        }
-        TopologySpec::Cellular { params, queue } => {
-            // The shared cellular path, with the deep buffer's queue
-            // discipline swapped per the spec (FIG1 / EXT-D).
-            let cell = build_cellular_with_buffer(params, queue.build(params.buffer_capacity));
-            let mut runner =
-                TcpRunner::with_congestion_control(cell.net, cell.entry, cell.rx, cfg, seed, cc);
-            runner.run(t_end)
-        }
-        // Spec decoding rejects tcp senders over graph topologies; the
-        // multi-flow path is `coexist_graph_run` (TCP peers included).
-        TopologySpec::Graph(_) => {
-            panic!("tcp senders run over model or cellular topologies, not a graph")
-        }
-    };
-
-    let mut summary = blank_summary(run);
-    summarize_tcp(&mut summary, &trace, spec);
-    (summary, trace)
+    summary.overflow_drops = overflows(&trace.drops);
+    set_delay_percentiles(summary, ack_delays(trace));
 }
 
 fn summarize_tcp(summary: &mut RunSummary, trace: &TcpTrace, spec: &ScenarioSpec) {
@@ -670,27 +601,45 @@ fn summarize_tcp(summary: &mut RunSummary, trace: &TcpTrace, spec: &ScenarioSpec
     summary.delivered = (received_bits as f64 / pkt_bits) as u64;
     summary.throughput_pps = summary.delivered as f64 / dur_s;
     summary.goodput_bps = received_bits as f64 / dur_s;
-    summary.overflow_drops = trace
-        .drops
-        .iter()
-        .filter(|d| d.reason == DropReason::BufferFull)
-        .count() as u64;
-    let mut rtts: Vec<f64> = trace
-        .rtt_samples
-        .iter()
-        .map(|(_, r)| r.as_secs_f64())
-        .collect();
-    rtts.sort_by(|a, b| a.total_cmp(b));
-    set_delay_percentiles(summary, &rtts);
+    summary.overflow_drops = overflows(&trace.drops);
+    let rtts = trace.rtt_samples.iter().map(|(_, r)| r.as_secs_f64());
+    set_delay_percentiles(summary, rtts.collect());
 }
 
-fn set_delay_percentiles(summary: &mut RunSummary, sorted: &[f64]) {
-    if sorted.is_empty() {
+/// Buffer overflows among `drops`.
+fn overflows<'a>(drops: impl IntoIterator<Item = &'a DropRecord>) -> u64 {
+    drops
+        .into_iter()
+        .filter(|d| d.reason == DropReason::BufferFull)
+        .count() as u64
+}
+
+/// Send-to-acknowledgment delay of every acknowledged packet. A
+/// retransmitted seq keeps only its latest send time; an ACK of the
+/// original copy can predate that retransmit, so such pairs carry no
+/// usable delay and are skipped.
+fn ack_delays(trace: &RunTrace) -> Vec<f64> {
+    let send_at: BTreeMap<u64, Time> = trace.sends.iter().copied().collect();
+    trace
+        .acks
+        .iter()
+        .filter_map(|o| {
+            send_at
+                .get(&o.seq)
+                .filter(|&&t| t <= o.at)
+                .map(|t| o.at.since(*t).as_secs_f64())
+        })
+        .collect()
+}
+
+fn set_delay_percentiles(summary: &mut RunSummary, mut delays: Vec<f64>) {
+    if delays.is_empty() {
         return; // leave the NaN "missing" markers
     }
-    summary.delay_p50_s = percentile_of_sorted(sorted, 50.0);
-    summary.delay_p95_s = percentile_of_sorted(sorted, 95.0);
-    summary.delay_p99_s = percentile_of_sorted(sorted, 99.0);
+    delays.sort_by(|a, b| a.total_cmp(b));
+    summary.delay_p50_s = percentile_of_sorted(&delays, 50.0);
+    summary.delay_p95_s = percentile_of_sorted(&delays, 95.0);
+    summary.delay_p99_s = percentile_of_sorted(&delays, 99.0);
 }
 
 /// The belief engines behind one dispatch for the scripted workload.
@@ -773,12 +722,7 @@ fn scripted_ping(run: &RunSpec, interval: augur_sim::Dur, priors: &PriorCache) -
                 });
             }
         }
-        summary.overflow_drops += truth
-            .net
-            .take_drops()
-            .iter()
-            .filter(|d| d.reason == DropReason::BufferFull)
-            .count() as u64;
+        summary.overflow_drops += overflows(&truth.net.take_drops());
         summary.delivered += acks.len() as u64;
 
         let send = if t < t_end {
@@ -826,10 +770,12 @@ fn scripted_ping(run: &RunSpec, interval: augur_sim::Dur, priors: &PriorCache) -
     summary
 }
 
-/// TCP as a coexistence peer: the network-free [`TcpEndpoint`] adapted
-/// to the [`SenderAgent`] wake protocol. Deliveries arrive as
+/// TCP on the flow driver: the network-free [`TcpEndpoint`] adapted to
+/// the [`SenderAgent`] wake protocol. Deliveries arrive as
 /// observations, the endpoint schedules its own reverse-path ACKs and
-/// retransmission timers, and the multi-agent loop owns injection.
+/// retransmission timers, and the multi-agent loop owns injection. One
+/// agent over a one-flow ground truth is a single-flow TCP download
+/// (Figure 1); the same agent is a coexistence or many-flow peer.
 pub struct TcpPeerAgent {
     ep: TcpEndpoint,
     /// The endpoint's measurements (segments, retransmissions, RTTs).
@@ -882,27 +828,71 @@ impl SenderAgent for TcpPeerAgent {
     }
 }
 
-/// The peer side of a coexistence run, kept concrete so restart counts
-/// can be read back after the loop.
-enum PeerAgent {
+/// One flow's agent on the flow driver, kept concrete so restart counts
+/// and the TCP trace can be read back after the drive.
+enum FlowAgent {
     Model(RestartingSender),
     Aimd(AimdSender),
     Tcp(TcpPeerAgent),
 }
 
-/// N senders sharing one network (§3.5), via the multi-agent loop. Flow
-/// A is the scenario's sender; peer `i` of the [`CoexistSpec`] transmits
-/// as flow `i + 1`. Model topologies build the single shared bottleneck;
-/// graph topologies compile their declared multi-bottleneck network, one
-/// agent per declared flow.
-fn coexist_run(run: &RunSpec, cx: &CoexistSpec) -> (RunSummary, RunArtifact) {
-    assert!(
-        !cx.peers.is_empty(),
-        "coexist workload needs at least one peer"
-    );
-    match &run.spec.topology {
-        TopologySpec::Graph(g) => coexist_graph_run(run, cx, g),
-        _ => coexist_model_run(run, cx),
+impl FlowAgent {
+    /// The one agent builder: coexist primaries and peers, many-flow mix
+    /// entries and the TCP closed loop all come through here. A
+    /// belief-carrying (`isender`) agent restarts on the coexistence
+    /// prior of `bottleneck` (link bits/s, buffer bits) under the spec's
+    /// branch cap, with `latency_penalty` in its utility; every agent
+    /// sends the topology's packet size.
+    fn build(
+        spec: &ScenarioSpec,
+        peer: PeerSpec,
+        latency_penalty: f64,
+        bottleneck: Option<(u64, u64)>,
+    ) -> FlowAgent {
+        let packet_size = spec.topology.packet_size();
+        let tcp = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
+            FlowAgent::Tcp(TcpPeerAgent::new(
+                TcpConfig {
+                    packet_size,
+                    max_window,
+                    ..TcpConfig::default()
+                },
+                cc,
+            ))
+        };
+        match peer {
+            PeerSpec::Isender { alpha } => {
+                let (link_bps, buffer_bits) =
+                    bottleneck.expect("a belief-carrying flow models a bottleneck");
+                let (_, _, max_branches) = coexist_primary_knobs(spec);
+                FlowAgent::Model(RestartingSender::new(
+                    Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
+                    Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
+                    sender_config(spec),
+                ))
+            }
+            PeerSpec::Aimd { timeout } => {
+                FlowAgent::Aimd(AimdSender::new(timeout).with_packet_size(packet_size))
+            }
+            PeerSpec::TcpReno { max_window } => tcp(max_window, Box::<Reno>::default()),
+            PeerSpec::TcpCubic { max_window } => tcp(max_window, Box::<Cubic>::default()),
+        }
+    }
+
+    fn agent(&mut self) -> &mut dyn SenderAgent {
+        match self {
+            FlowAgent::Model(m) => m,
+            FlowAgent::Aimd(a) => a,
+            FlowAgent::Tcp(t) => t,
+        }
+    }
+
+    /// Belief restarts so far (0 for belief-free agents).
+    fn restarts(&self) -> u64 {
+        match self {
+            FlowAgent::Model(m) => m.restarts as u64,
+            _ => 0,
+        }
     }
 }
 
@@ -944,10 +934,11 @@ fn assert_coexist_packet(packet_size: augur_sim::Bits) {
 fn summarize_multi_flow(
     summary: &mut RunSummary,
     mut traces: Vec<RunTrace>,
-    dur_s: f64,
-    pkt_bits: f64,
+    spec: &ScenarioSpec,
     alpha: f64,
 ) -> (Vec<f64>, RunTrace) {
+    let dur_s = spec.duration.as_secs_f64();
+    let pkt_bits = spec.topology.packet_size().as_f64();
     let unique_bits = |trace: &RunTrace| {
         let mut seen = BTreeSet::new();
         trace.acks.iter().filter(|o| seen.insert(o.seq)).count() as f64 * pkt_bits
@@ -962,308 +953,183 @@ fn summarize_multi_flow(
     summary.goodput_b_bps = rb;
     summary.jain = jain_index(&rates);
     summary.utility = ra + alpha * rb;
-    summary.overflow_drops = traces
-        .iter()
-        .flat_map(|t| t.drops.iter())
-        .filter(|d| d.reason == DropReason::BufferFull)
-        .count() as u64;
-    let send_at: BTreeMap<u64, Time> = traces[0].sends.iter().map(|&(seq, t)| (seq, t)).collect();
-    // Same retransmission guard as `summarize_closed_loop`: skip ACKs
-    // whose only recorded send time is a later retransmit.
-    let mut delays: Vec<f64> = traces[0]
-        .acks
-        .iter()
-        .filter_map(|o| {
-            send_at
-                .get(&o.seq)
-                .filter(|&&t| t <= o.at)
-                .map(|t| o.at.since(*t).as_secs_f64())
-        })
-        .collect();
-    delays.sort_by(|a, b| a.total_cmp(b));
-    set_delay_percentiles(summary, &delays);
+    summary.overflow_drops = overflows(traces.iter().flat_map(|t| &t.drops));
+    set_delay_percentiles(summary, ack_delays(&traces[0]));
     let trace_a = traces.swap_remove(0);
     (rates, trace_a)
 }
 
-/// The many-flow scaling workload: N belief-free agents over one shared
-/// bottleneck ([`build_many_flow_bottleneck`] — a single receiver, with
-/// acknowledgments routed back to agents by flow id), driven through the
-/// heap-scheduled flow driver. Agent `i` is built from
-/// `mix[i % mix.len()]`; the scenario's `sender` and `prior` sections
-/// are inert, so the summary reports `many-flow` as the sender and the
-/// mix label as the peer. Flow 0's trace is the run artifact;
-/// `goodput_bps` is flow 0's rate, `goodput_b_bps` the rest, and `jain`
-/// spans all N flows.
-fn many_flow_run(run: &RunSpec, mf: &ManyFlowSpec) -> (RunSummary, RunArtifact) {
+/// Every run on the multi-agent flow driver, through one path:
+///
+/// * a TCP closed loop: the spec's TCP sender as the one flow over the
+///   model or cellular path (Figure 1, EXT-D);
+/// * coexistence (§3.5): the scenario's sender as flow 0 and peer `i`
+///   as flow `i + 1`, over the single shared bottleneck a model
+///   topology describes, or over a compiled [`augur_topo::GraphTopology`]
+///   with one agent per declared flow, each injecting at its own source
+///   and traversing its own route;
+/// * many-flow scaling: `flows` belief-free agents over one shared
+///   bottleneck with a single receiver, agent `i` built from
+///   `mix[i % mix.len()]`.
+///
+/// Each workload supplies only its ground truth and, per flow, the
+/// agent kind and the bottleneck a belief-carrying agent models (the
+/// slowest link on its own route, with the dedicated coexistence prior
+/// — the single-bottleneck abstraction the paper's sender would bring
+/// to a network it cannot see into). [`FlowAgent::build`] makes every
+/// agent; one drive and one summary tail follow.
+fn flow_driver_run(run: &RunSpec) -> (RunSummary, RunArtifact) {
     let spec = &run.spec;
-    let topology = spec.topology.model("many-flows workload");
-    let mut truth = build_many_flow_bottleneck(
-        topology.link_rate,
-        topology.buffer_capacity,
-        topology.loss,
-        mf.flows,
-        SimRng::derive_seed(run.seed, STREAM_TRUTH),
-    );
-    let tcp_peer = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
-        PeerAgent::Tcp(TcpPeerAgent::new(
-            TcpConfig {
-                packet_size: topology.packet_size,
-                max_window,
-                ..TcpConfig::default()
-            },
-            cc,
-        ))
+    let seed = SimRng::derive_seed(run.seed, STREAM_TRUTH);
+    let agent = |peer, latency_penalty, bottleneck| {
+        FlowAgent::build(spec, peer, latency_penalty, bottleneck)
     };
-    let mut store: Vec<PeerAgent> = (0..mf.flows)
-        .map(|i| match mf.mix[i % mf.mix.len()] {
-            PeerSpec::Isender { .. } => {
-                unreachable!("isender mix entries are rejected at decode time")
-            }
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(topology.packet_size))
-            }
-            PeerSpec::TcpReno { max_window } => tcp_peer(max_window, Box::<Reno>::default()),
-            PeerSpec::TcpCubic { max_window } => tcp_peer(max_window, Box::<Cubic>::default()),
-        })
-        .collect();
-    let mut agents: Vec<&mut dyn SenderAgent> = store
-        .iter_mut()
-        .map(|p| match p {
-            PeerAgent::Model(m) => m as &mut dyn SenderAgent,
-            PeerAgent::Aimd(a) => a,
-            PeerAgent::Tcp(t) => t,
-        })
-        .collect();
+    let (mut truth, mut agents): (MultiFlowTruth, Vec<FlowAgent>) = match &spec.workload {
+        WorkloadSpec::ClosedLoop => {
+            let (net, entry, rx) = match &spec.topology {
+                TopologySpec::Model(_) => {
+                    let m = spec.build_truth();
+                    (m.net, m.entry, m.rx_self)
+                }
+                TopologySpec::Cellular { params, queue } => {
+                    // The shared cellular path, with the deep buffer's
+                    // queue discipline swapped per the spec (FIG1 / EXT-D).
+                    let cell =
+                        build_cellular_with_buffer(params, queue.build(params.buffer_capacity));
+                    (cell.net, cell.entry, cell.rx)
+                }
+                // Spec decoding rejects tcp senders over graph topologies.
+                TopologySpec::Graph(_) => {
+                    panic!("tcp senders run over model or cellular topologies, not a graph")
+                }
+            };
+            let truth = MultiFlowTruth::new(
+                net,
+                vec![FlowEndpoint { entry, rx }],
+                SimRng::seed_from_u64(seed),
+            )
+            .expect("a one-flow table is valid");
+            let peer = match spec.sender {
+                SenderSpec::TcpReno { max_window } => PeerSpec::TcpReno { max_window },
+                SenderSpec::TcpCubic { max_window } => PeerSpec::TcpCubic { max_window },
+                ref other => unreachable!("tcp run over {}", other.label()),
+            };
+            (truth, vec![agent(peer, 0.0, None)])
+        }
+        WorkloadSpec::ManyFlows(mf) => {
+            let m = spec.topology.model("many-flows workload");
+            let truth =
+                build_many_flow_bottleneck(m.link_rate, m.buffer_capacity, m.loss, mf.flows, seed);
+            let agents = (0..mf.flows)
+                .map(|i| agent(mf.mix[i % mf.mix.len()], 0.0, None))
+                .collect();
+            (truth, agents)
+        }
+        WorkloadSpec::Coexist(cx) => {
+            assert!(
+                !cx.peers.is_empty(),
+                "coexist workload needs at least one peer"
+            );
+            let (alpha, latency_penalty, _) = coexist_primary_knobs(spec);
+            assert_coexist_packet(spec.topology.packet_size());
+            let (truth, bottlenecks) = match &spec.topology {
+                TopologySpec::Graph(g) => {
+                    assert_eq!(
+                        g.flows.len(),
+                        1 + cx.peers.len(),
+                        "graph topology declares {} flows for {} agents (primary + peers)",
+                        g.flows.len(),
+                        1 + cx.peers.len()
+                    );
+                    let compiled = augur_topo::compile(g)
+                        .unwrap_or_else(|e| panic!("invalid graph topology: {e}"));
+                    let bottlenecks: Vec<(u64, u64)> = compiled
+                        .bottlenecks
+                        .iter()
+                        .map(|&l| (g.links[l].rate.as_bps(), g.links[l].buffer.as_u64()))
+                        .collect();
+                    let table = compiled
+                        .entries
+                        .iter()
+                        .zip(&compiled.rxs)
+                        .map(|(&entry, &rx)| FlowEndpoint { entry, rx })
+                        .collect();
+                    let truth =
+                        MultiFlowTruth::new(compiled.net, table, SimRng::seed_from_u64(seed))
+                            .unwrap_or_else(|e| panic!("invalid graph flow table: {e}"));
+                    (truth, bottlenecks)
+                }
+                _ => {
+                    let m = spec.topology.model("coexist workload");
+                    let truth = build_shared_bottleneck(
+                        m.link_rate,
+                        m.buffer_capacity,
+                        m.loss,
+                        1 + cx.peers.len(),
+                        seed,
+                    );
+                    let shared = (m.link_rate.as_bps(), m.buffer_capacity.as_u64());
+                    (truth, vec![shared; 1 + cx.peers.len()])
+                }
+            };
+            let kinds = std::iter::once((PeerSpec::Isender { alpha }, latency_penalty))
+                .chain(cx.peers.iter().map(|&p| (p, 0.0)));
+            let agents = kinds
+                .zip(bottlenecks)
+                .map(|((peer, lp), b)| agent(peer, lp, Some(b)))
+                .collect();
+            (truth, agents)
+        }
+        WorkloadSpec::ScriptedPing { .. } => unreachable!("scripted runs drive no agents"),
+    };
 
-    let t_end = Time::ZERO + spec.duration;
-    let result = run_multi_agent(&mut truth, &mut agents, t_end);
+    let mut table: Vec<&mut dyn SenderAgent> = agents.iter_mut().map(FlowAgent::agent).collect();
+    let result = run_multi_agent(&mut truth, &mut table, Time::ZERO + spec.duration);
 
     let mut summary = blank_summary(run);
-    summary.sender = "many-flow".to_string();
-    summary.peer = mf.label();
-    match result {
-        Ok(traces) => {
-            let dur_s = spec.duration.as_secs_f64();
-            let (_, trace_a) = summarize_multi_flow(
-                &mut summary,
-                traces,
-                dur_s,
-                topology.packet_size.as_f64(),
-                1.0,
-            );
-            (summary, RunArtifact::ClosedLoop(trace_a))
+    summary.population = agents[0].agent().population() as u64;
+    match &spec.workload {
+        WorkloadSpec::Coexist(cx) => summary.peer = cx.label(),
+        WorkloadSpec::ManyFlows(mf) => {
+            // The scenario's `sender` and `prior` sections are inert.
+            summary.sender = "many-flow".to_string();
+            summary.peer = mf.label();
         }
+        _ => {}
+    }
+    let mut traces = match result {
+        Ok(traces) => traces,
         Err(DriverError::Belief(_)) => {
             summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
+            return (summary, RunArtifact::None);
         }
+        // Agent/flow counts are validated when the spec is decoded and
+        // when the ground truth is built, before any run starts.
         Err(e @ DriverError::AgentCount { .. }) => {
             unreachable!("one agent is built per declared flow: {e}")
         }
+    };
+    if let (WorkloadSpec::ClosedLoop, [FlowAgent::Tcp(tcp)]) = (&spec.workload, &mut agents[..]) {
+        let mut trace = std::mem::take(&mut tcp.trace);
+        trace.drops = traces.swap_remove(0).drops;
+        summarize_tcp(&mut summary, &trace, spec);
+        return (summary, RunArtifact::Tcp(trace));
     }
-}
-
-/// Sum of belief restarts across the peer agents (0 for belief-free
-/// peers).
-fn peer_restarts(peers: &[PeerAgent]) -> u64 {
-    peers
-        .iter()
-        .map(|p| match p {
-            PeerAgent::Model(m) => m.restarts as u64,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Coexistence over the single shared bottleneck built from the model
-/// topology's link rate, buffer capacity, and loss.
-fn coexist_model_run(run: &RunSpec, cx: &CoexistSpec) -> (RunSummary, RunArtifact) {
-    let spec = &run.spec;
-    let topology = spec.topology.model("coexist workload");
-    let (alpha, latency_penalty, max_branches) = coexist_primary_knobs(spec);
-    assert_coexist_packet(topology.packet_size);
-    let link_bps = topology.link_rate.as_bps();
-    let buffer_bits = topology.buffer_capacity.as_u64();
-    let mut truth = build_shared_bottleneck(
-        topology.link_rate,
-        topology.buffer_capacity,
-        topology.loss,
-        1 + cx.peers.len(),
-        SimRng::derive_seed(run.seed, STREAM_TRUTH),
-    );
-    let restarting = |alpha: f64, latency_penalty: f64| {
-        RestartingSender::new(
-            Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
-            Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
-            sender_config(spec),
-        )
+    // Flow 0's utility weighs the others' goodput by its α; a
+    // belief-free flow 0 (many-flow) weighs every flow alike.
+    let alpha = match &spec.workload {
+        WorkloadSpec::Coexist(_) => coexist_primary_knobs(spec).0,
+        _ => 1.0,
     };
-    let tcp_peer = |max_window: u64, cc: Box<dyn augur_tcp::CongestionControl>| {
-        PeerAgent::Tcp(TcpPeerAgent::new(
-            TcpConfig {
-                packet_size: topology.packet_size,
-                max_window,
-                ..TcpConfig::default()
-            },
-            cc,
-        ))
-    };
-    let mut primary = restarting(alpha, latency_penalty);
-    let mut peers: Vec<PeerAgent> = cx
-        .peers
-        .iter()
-        .map(|p| match *p {
-            PeerSpec::Isender { alpha } => PeerAgent::Model(restarting(alpha, 0.0)),
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(topology.packet_size))
-            }
-            PeerSpec::TcpReno { max_window } => tcp_peer(max_window, Box::<Reno>::default()),
-            PeerSpec::TcpCubic { max_window } => tcp_peer(max_window, Box::<Cubic>::default()),
-        })
-        .collect();
-
-    let t_end = Time::ZERO + spec.duration;
-    let result = run_agents(&mut truth, &mut primary, &mut peers, t_end);
-
-    let mut summary = blank_summary(run);
-    summary.peer = cx.label();
-    summary.population = primary.population() as u64;
-    match result {
-        Ok(traces) => {
-            let dur_s = spec.duration.as_secs_f64();
-            let (_, trace_a) = summarize_multi_flow(
-                &mut summary,
-                traces,
-                dur_s,
-                topology.packet_size.as_f64(),
-                alpha,
-            );
-            summary.restarts_a = Some(primary.restarts as u64);
-            summary.restarts_b = Some(peer_restarts(&peers));
-            (summary, RunArtifact::ClosedLoop(trace_a))
-        }
-        Err(_) => {
-            summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
-        }
-    }
-}
-
-/// Coexistence over a compiled [`GraphTopology`]: one agent per declared
-/// flow, each injecting at its own source and traversing its own route.
-/// The primary drives flow 0; peer `i` drives flow `i + 1`. Every
-/// belief-carrying agent models the slowest link on *its own* route with
-/// the dedicated coexistence prior (the single-bottleneck abstraction
-/// the paper's sender would bring to a network it cannot see into).
-fn coexist_graph_run(
-    run: &RunSpec,
-    cx: &CoexistSpec,
-    g: &augur_topo::GraphTopology,
-) -> (RunSummary, RunArtifact) {
-    let spec = &run.spec;
-    let (alpha, latency_penalty, max_branches) = coexist_primary_knobs(spec);
-    assert_coexist_packet(g.packet_size);
-    assert_eq!(
-        g.flows.len(),
-        1 + cx.peers.len(),
-        "graph topology declares {} flows for {} agents (primary + peers)",
-        g.flows.len(),
-        1 + cx.peers.len()
-    );
-    let compiled = augur_topo::compile(g).unwrap_or_else(|e| panic!("invalid graph topology: {e}"));
-    let restarting = |flow: usize, alpha: f64, latency_penalty: f64| {
-        let bottleneck = &g.links[compiled.bottlenecks[flow]];
-        let (link_bps, buffer_bits) = (bottleneck.rate.as_bps(), bottleneck.buffer.as_u64());
-        RestartingSender::new(
-            Box::new(move || coexist_belief(link_bps, buffer_bits, max_branches)),
-            Box::new(move || utility_of(alpha, latency_penalty) as Box<dyn Utility + Send>),
-            sender_config(spec),
-        )
-    };
-    let mut primary = restarting(0, alpha, latency_penalty);
-    let mut peers: Vec<PeerAgent> = cx
-        .peers
-        .iter()
-        .enumerate()
-        .map(|(i, p)| match *p {
-            PeerSpec::Isender { alpha } => PeerAgent::Model(restarting(i + 1, alpha, 0.0)),
-            PeerSpec::Aimd { timeout } => {
-                PeerAgent::Aimd(AimdSender::new(timeout).with_packet_size(g.packet_size))
-            }
-            PeerSpec::TcpReno { max_window } | PeerSpec::TcpCubic { max_window } => {
-                let cc: Box<dyn augur_tcp::CongestionControl> =
-                    if matches!(p, PeerSpec::TcpReno { .. }) {
-                        Box::<Reno>::default()
-                    } else {
-                        Box::<Cubic>::default()
-                    };
-                PeerAgent::Tcp(TcpPeerAgent::new(
-                    TcpConfig {
-                        packet_size: g.packet_size,
-                        max_window,
-                        ..TcpConfig::default()
-                    },
-                    cc,
-                ))
-            }
-        })
-        .collect();
-    let table: Vec<FlowEndpoint> = compiled
-        .entries
-        .iter()
-        .zip(&compiled.rxs)
-        .map(|(&entry, &rx)| FlowEndpoint { entry, rx })
-        .collect();
-    let mut truth =
-        MultiFlowTruth::new(compiled.net, table, SimRng::derive(run.seed, STREAM_TRUTH))
-            .unwrap_or_else(|e| panic!("invalid graph flow table: {e}"));
-
-    let t_end = Time::ZERO + spec.duration;
-    let result = run_agents(&mut truth, &mut primary, &mut peers, t_end);
-
-    let mut summary = blank_summary(run);
-    summary.peer = cx.label();
-    summary.population = primary.population() as u64;
-    match result {
-        Ok(traces) => {
-            let dur_s = spec.duration.as_secs_f64();
-            let (rates, trace_a) =
-                summarize_multi_flow(&mut summary, traces, dur_s, g.packet_size.as_f64(), alpha);
+    let (rates, trace_a) = summarize_multi_flow(&mut summary, traces, spec, alpha);
+    if let WorkloadSpec::Coexist(_) = spec.workload {
+        if let TopologySpec::Graph(g) = &spec.topology {
             summary.class_goodput = class_goodput_label(&g.flows, &rates);
-            summary.restarts_a = Some(primary.restarts as u64);
-            summary.restarts_b = Some(peer_restarts(&peers));
-            (summary, RunArtifact::ClosedLoop(trace_a))
         }
-        Err(_) => {
-            summary.status = RunStatus::BeliefDied;
-            (summary, RunArtifact::None)
-        }
+        summary.restarts_a = Some(agents[0].restarts());
+        summary.restarts_b = Some(agents[1..].iter().map(FlowAgent::restarts).sum());
     }
-}
-
-/// Run the primary plus peers through the multi-agent loop.
-fn run_agents(
-    truth: &mut MultiFlowTruth,
-    primary: &mut RestartingSender,
-    peers: &mut [PeerAgent],
-    t_end: Time,
-) -> Result<Vec<RunTrace>, BeliefError> {
-    let mut agents: Vec<&mut dyn SenderAgent> = Vec::with_capacity(1 + peers.len());
-    agents.push(primary);
-    for p in peers {
-        agents.push(match p {
-            PeerAgent::Model(m) => m,
-            PeerAgent::Aimd(a) => a,
-            PeerAgent::Tcp(t) => t,
-        });
-    }
-    run_multi_agent(truth, &mut agents, t_end).map_err(|e| match e {
-        DriverError::Belief(b) => b,
-        // Agent/flow counts are validated when the spec is decoded and
-        // when the ground truth is built, before any run starts.
-        DriverError::AgentCount { .. } => unreachable!("agent count validated upstream: {e}"),
-    })
+    (summary, RunArtifact::ClosedLoop(trace_a))
 }
 
 /// Aggregate per-flow goodputs by declared flow class, formatted

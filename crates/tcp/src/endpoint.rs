@@ -1,27 +1,102 @@
 //! The TCP endpoint pair as a pure state machine — no network attached.
 //!
-//! [`TcpEndpoint`] holds everything [`crate::TcpRunner`] used to own
-//! except the network itself: the bulk-transfer sender (congestion
-//! control, RTT estimation, retransmission machinery), the
-//! cumulative-ACK receiver, and the fixed-delay reverse path. Splitting
-//! it out lets the same machine run in two harnesses:
-//!
-//! * [`crate::TcpRunner`] drives it against a network it owns — the
-//!   single-flow Figure-1 experiments;
-//! * a multi-sender loop (e.g. `augur_core::run_multi_agent`) feeds it
-//!   deliveries and injects the packets it emits, so TCP can *share* a
-//!   bottleneck with other senders instead of owning it.
+//! [`TcpEndpoint`] is a bulk-transfer sender (congestion control, RTT
+//! estimation, retransmission machinery), a cumulative-ACK receiver and
+//! a fixed-delay reverse path. The reverse path is lossless — the same
+//! simplification the paper makes for the ISender (§3.4) — so a
+//! measured RTT is the sum of queueing, service, ARQ, propagation and
+//! the reverse delay.
 //!
 //! The endpoint never draws randomness and never touches a `Network`:
 //! transmissions accumulate in an outbox that [`TcpEndpoint::poll`]
-//! drains, and the caller decides how to inject them.
+//! drains, and the caller decides how to inject them. The scenario
+//! crate's `TcpPeerAgent` adapts it to the flow driver
+//! (`augur_core::run_multi_agent`), which runs every TCP download: the
+//! single-flow Figure-1 experiments over a one-flow ground truth, and
+//! TCP peers sharing a bottleneck with other senders.
 
 use crate::cc::CongestionControl;
 use crate::reno::RenoSignal;
 use crate::rtt::RttEstimator;
-use crate::runner::{TcpConfig, TcpTrace};
-use augur_sim::{Dur, EventQueue, Packet, Time};
+use augur_elements::DropRecord;
+use augur_sim::{Bits, Dur, EventQueue, FlowId, Packet, Time};
 use std::collections::{BTreeSet, HashMap};
+
+/// Configuration of a TCP run.
+#[derive(Debug, Clone)]
+pub struct TcpConfig {
+    /// Segment size on the wire.
+    pub packet_size: Bits,
+    /// Fixed reverse-path (ACK) delay.
+    pub reverse_delay: Dur,
+    /// Flow id of this connection.
+    pub flow: FlowId,
+    /// Cap on the flight size in packets (receiver window stand-in).
+    pub max_window: u64,
+}
+
+impl Default for TcpConfig {
+    fn default() -> Self {
+        TcpConfig {
+            packet_size: Bits::from_bytes(1_500),
+            reverse_delay: Dur::from_millis(25),
+            flow: FlowId::SELF,
+            max_window: 1_000,
+        }
+    }
+}
+
+/// What a TCP run measured.
+#[derive(Debug, Clone, Default)]
+pub struct TcpTrace {
+    /// Per-ACK RTT samples: (ack arrival time, measured RTT).
+    pub rtt_samples: Vec<(Time, Dur)>,
+    /// Congestion window after every ACK: (time, cwnd in packets).
+    pub cwnd_samples: Vec<(Time, f64)>,
+    /// Cumulative good-put deliveries at the receiver: (time, total bits
+    /// received in order).
+    pub goodput: Vec<(Time, u64)>,
+    /// Total segments transmitted (including retransmissions).
+    pub segments_sent: u64,
+    /// Retransmitted segments.
+    pub retransmissions: u64,
+    /// Timeouts taken.
+    pub timeouts: u64,
+    /// Network drops on the path (all flows). The endpoint never sees a
+    /// drop; whoever drives it fills this in from the network's log.
+    pub drops: Vec<DropRecord>,
+}
+
+impl TcpTrace {
+    /// Mean goodput in bits/s over the run.
+    pub fn mean_goodput_bps(&self, t_end: Time) -> f64 {
+        match self.goodput.last() {
+            Some((_, bits)) => *bits as f64 / t_end.as_secs_f64(),
+            None => 0.0,
+        }
+    }
+
+    /// Max over min RTT — the bufferbloat ratio Figure 1 visualizes.
+    pub fn rtt_blowup(&self) -> f64 {
+        let min = self
+            .rtt_samples
+            .iter()
+            .map(|(_, r)| r.as_micros())
+            .min()
+            .unwrap_or(0);
+        let max = self
+            .rtt_samples
+            .iter()
+            .map(|(_, r)| r.as_micros())
+            .max()
+            .unwrap_or(0);
+        if min == 0 {
+            0.0
+        } else {
+            max as f64 / min as f64
+        }
+    }
+}
 
 /// The co-simulated TCP sender + receiver pair, network-free.
 pub struct TcpEndpoint {

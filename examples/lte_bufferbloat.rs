@@ -6,7 +6,10 @@
 //! cargo run --release --example lte_bufferbloat
 //! ```
 
+use augur::core::{run_multi_agent, FlowEndpoint, MultiFlowTruth};
 use augur::prelude::*;
+use augur::scenario::TcpPeerAgent;
+use augur::tcp::Reno;
 
 fn main() {
     // A synthetic LTE-like downlink: 750 kB drop-tail buffer, fading rate
@@ -15,9 +18,23 @@ fn main() {
     let params = CellularParams::lte_like();
     let cell = build_cellular(&params);
 
-    // TCP Reno bulk download for two minutes.
-    let mut runner = TcpRunner::new(cell.net, cell.entry, cell.rx, TcpConfig::default(), 1);
-    let trace = runner.run(Time::from_secs(120));
+    // TCP Reno bulk download for two minutes: one TCP agent on the flow
+    // driver, over a one-flow ground truth.
+    let mut truth = MultiFlowTruth::new(
+        cell.net,
+        vec![FlowEndpoint {
+            entry: cell.entry,
+            rx: cell.rx,
+        }],
+        SimRng::seed_from_u64(1),
+    )
+    .expect("one flow");
+    let mut tcp = TcpPeerAgent::new(TcpConfig::default(), Box::<Reno>::default());
+    let t_end = Time::from_secs(120);
+    let run = run_multi_agent(&mut truth, &mut [&mut tcp as &mut dyn SenderAgent], t_end)
+        .expect("TCP carries no belief");
+    let trace = tcp.trace;
+    let drops = &run[0].drops;
 
     let mut rtt = Series::new("rtt (s)");
     for (t, r) in &trace.rtt_samples {
@@ -46,11 +63,11 @@ fn main() {
     );
     println!(
         "All {} drops were buffer overflows; the link layer hid every stochastic loss.",
-        trace.drops.len()
+        drops.len()
     );
     println!(
         "TCP kept the pipe busy ({:.0} bit/s goodput) but at seconds of latency —",
-        trace.mean_goodput_bps(Time::from_secs(120))
+        trace.mean_goodput_bps(t_end)
     );
     println!("exactly the failure mode the paper's model-based sender is designed to avoid.");
 }

@@ -86,6 +86,6 @@ pub mod prelude {
         WorkloadSpec,
     };
     pub use augur_sim::{BitRate, Bits, Dur, FlowId, Packet, Ppm, SimRng, Time};
-    pub use augur_tcp::{TcpConfig, TcpRunner};
+    pub use augur_tcp::TcpConfig;
     pub use augur_trace::{render, write_wide, PlotConfig, Series};
 }
