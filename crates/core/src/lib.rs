@@ -45,6 +45,7 @@ pub use multi::{
     MultiFlowTruth,
 };
 pub use planner::{
-    decide, decide_weighted, rollout, subsample_weighted, Action, Decision, PlannerConfig,
+    decide, decide_weighted, rollout, subsample_weighted, Action, CandidatePass, Decision,
+    PlannerConfig,
 };
 pub use utility::{discounted_stream_sum, DiscountedThroughput, RolloutReport, Utility, THETA_MS};

@@ -432,10 +432,43 @@ impl Network {
         std::mem::take(&mut self.state.drops)
     }
 
+    /// Move both transient logs onto the ends of `deliveries` and
+    /// `drops`, keeping the network's own log buffers for reuse.
+    pub fn drain_logs_into(&mut self, deliveries: &mut Vec<Delivery>, drops: &mut Vec<DropRecord>) {
+        deliveries.extend(self.state.deliveries.drain(..).map(|(_, d)| d));
+        drops.append(&mut self.state.drops);
+    }
+
     /// True iff both transient logs are empty (precondition for
     /// comparing/compacting networks).
     pub fn logs_empty(&self) -> bool {
         self.state.deliveries.is_empty() && self.state.drops.is_empty()
+    }
+
+    /// True iff both networks will behave identically from here on under
+    /// the same choice resolutions: `==` on state, except that an idle
+    /// link's `busy_until` is ignored (it is stale: nothing reads it until
+    /// the next `start_service` overwrites it). A pending choice on
+    /// either side gives `false`. Transient logs are not compared.
+    pub fn same_future(&self, other: &Network) -> bool {
+        self.state.pending.is_none()
+            && other.state.pending.is_none()
+            && self.state.now == other.state.now
+            && self.state.elements.len() == other.state.elements.len()
+            && self
+                .state
+                .elements
+                .iter()
+                .zip(&other.state.elements)
+                .all(|pair| match pair {
+                    (ElementState::Link(a), ElementState::Link(b)) => {
+                        a.in_service == b.in_service
+                            && a.backlog == b.backlog
+                            && (a.idle() || a.busy_until == b.busy_until)
+                    }
+                    (a, b) => a == b,
+                })
+            && (Arc::ptr_eq(&self.structure, &other.structure) || self.structure == other.structure)
     }
 
     /// The earliest internal event, if any element has one scheduled.
@@ -1222,6 +1255,70 @@ mod tests {
         assert_eq!(d[0].0, rx);
         assert_eq!(d[0].1.at, Time::from_secs(1)); // 12_000 bits @ 12_000 bps
         assert_eq!(d[0].1.packet.seq, 0);
+    }
+
+    #[test]
+    fn same_future_ignores_a_stale_idle_link_busy_until() {
+        let (fresh, entry, _) = simple_path(100_000, 12_000);
+        let mut served = fresh.clone();
+        let mut fresh = fresh;
+        served.inject(entry, pkt(0));
+        served.run_until(Time::from_secs(5));
+        served.take_deliveries();
+        fresh.run_until(Time::from_secs(5));
+        // The served link is idle again but still remembers when its
+        // last service ended; nothing reads that until the next start.
+        assert_ne!(served, fresh);
+        assert!(served.same_future(&fresh));
+        assert!(fresh.same_future(&served));
+        // From here on both deliver a new packet at the same instant.
+        for net in [&mut served, &mut fresh] {
+            net.inject(entry, pkt(1));
+            net.run_until(Time::from_secs(10));
+        }
+        assert_eq!(served.take_deliveries(), fresh.take_deliveries());
+        assert!(served.same_future(&fresh));
+    }
+
+    #[test]
+    fn same_future_sees_a_differing_queue() {
+        let (base, entry, _) = simple_path(100_000, 12_000);
+        let (mut a, mut b) = (base.clone(), base);
+        for net in [&mut a, &mut b] {
+            net.inject(entry, pkt(0)); // in service
+        }
+        a.inject(entry, pkt(1)); // queued behind it
+        b.inject(entry, pkt(2));
+        assert!(!a.same_future(&b));
+        // A busy link's completion instant is live state.
+        let (mut c, mut d) = (a.clone(), a.clone());
+        c.run_until(Time::from_millis(500));
+        d.run_until(Time::from_millis(500));
+        assert!(c.same_future(&d));
+        let mut late = a.clone();
+        late.run_until(Time::from_millis(400));
+        assert!(!late.same_future(&c), "different clocks");
+    }
+
+    #[test]
+    fn same_future_is_false_while_a_choice_is_pending() {
+        let mut b = NetworkBuilder::new();
+        let (entry, _) = b.chain(vec![
+            Element::Loss(Loss {
+                p: Ppm::from_prob(0.5),
+            }),
+            Element::Receiver(ReceiverEl),
+        ]);
+        let mut net = b.build();
+        net.inject(entry, pkt(0));
+        assert!(matches!(net.run_until(Time::ZERO), Step::Pending(_)));
+        let twin = net.clone();
+        assert_eq!(net, twin);
+        assert!(!net.same_future(&twin));
+        net.resolve(0);
+        let mut twin = twin;
+        twin.resolve(0);
+        assert!(net.same_future(&twin));
     }
 
     #[test]

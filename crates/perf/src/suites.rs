@@ -9,7 +9,10 @@
 
 use crate::harness::{BenchConfig, Bencher, Measurement};
 use crate::report::SuiteReport;
-use augur_core::{build_many_flow_bottleneck, run_multi_agent, AimdSender, RunTrace, SenderAgent};
+use augur_core::{
+    build_many_flow_bottleneck, coexist_belief, decide, run_multi_agent, AimdSender,
+    DiscountedThroughput, PlannerConfig, RunTrace, SenderAgent,
+};
 use augur_elements::{DropRecord, RateProcess, TraceEnd};
 use augur_inference::Observation;
 use augur_inference::{BeliefConfig, ModelPrior};
@@ -23,7 +26,7 @@ use augur_sim::{BitRate, Bits, Dur, EventQueue, FlowId, Packet, Ppm, SimRng, Tim
 use std::hint::black_box;
 
 /// Every suite name, in the order `perf all` runs them.
-pub const NAMES: [&str; 10] = [
+pub const NAMES: [&str; 11] = [
     "event-queue",
     "rate-trace",
     "belief-update",
@@ -34,6 +37,7 @@ pub const NAMES: [&str; 10] = [
     "topo-route",
     "many-flow",
     "obs-overhead",
+    "planner-decide",
 ];
 
 /// Run a named suite. `quick` shrinks workloads to CI-smoke size.
@@ -49,6 +53,7 @@ pub fn run(name: &str, quick: bool) -> Option<SuiteReport> {
         "topo-route" => topo_route(quick),
         "many-flow" => many_flow(quick),
         "obs-overhead" => obs_overhead(quick),
+        "planner-decide" => planner_decide(quick),
         _ => return None,
     })
 }
@@ -626,6 +631,38 @@ fn obs_overhead(quick: bool) -> SuiteReport {
     report
 }
 
+/// The planner on its own: one `decide` over the 63-branch
+/// coexistence prior (24 kbit/s link, 96 kbit buffer: 7 competitor
+/// rates × 9 queue fills) at t=0, the decision a `coexist` ISender makes
+/// on its first wake. Every branch rolls out its idle baseline and nine
+/// send candidates, so `state_clones` is 10 per branch and
+/// `events_processed` counts the rollout events; both are pinned.
+fn planner_decide(quick: bool) -> SuiteReport {
+    let decides: u64 = if quick { 20 } else { 200 };
+    let belief = coexist_belief(24_000, 96_000, 50_000);
+    let cfg = PlannerConfig::default();
+    let utility = DiscountedThroughput::with_alpha(1.0);
+    let b = bencher(quick);
+    let mut report = SuiteReport::new("planner-decide", mode(quick));
+    // The harness captures on-thread work itself.
+    report.results.push(b.measure("coexist-prior", move || {
+        for _ in 0..decides {
+            black_box(decide(
+                &belief,
+                &cfg,
+                &utility,
+                FlowId::SELF,
+                0,
+                Bits::from_bytes(1_500),
+            ));
+        }
+        WorkCounters::default()
+    }));
+    let m = report.find("coexist-prior").expect("measured");
+    report.derive("decides_per_sec", decides as f64 / m.secs_per_iter.median);
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,6 +693,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn planner_decide_pins_its_rollout_work() {
+        let report = run("planner-decide", true).unwrap();
+        let work = report.find("coexist-prior").unwrap().work_per_batch;
+        // 20 decides per batch; each clones every one of the 63 branches
+        // once for idle and once per send candidate.
+        assert_eq!(work.state_clones, 20 * 63 * 10);
+        assert_eq!(work.events_processed, 20 * 7_933);
     }
 
     #[test]
